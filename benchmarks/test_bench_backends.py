@@ -40,10 +40,6 @@ from repro.runtime import (
 from conftest import print_table
 
 WORKERS = 2
-#: Scenarios per wire frame for the socket pass (PR 8): batching plus
-#: the adaptive pipeline window is what lifts 2 TCP workers past serial
-#: instead of drowning in per-job framing.
-BATCH = 16
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_backends.json"
 #: Cross-run trend history (committed): one ``repro.obs.trend`` record
 #: per backend row per benchmark run.  The CI bench-trend step gates on
@@ -51,11 +47,11 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_backends.json"
 #: ``vs_serial`` parsing -- same record format as ``campaign --trend``.
 TREND_PATH = Path(__file__).resolve().parent.parent / "BENCH_trend.jsonl"
 
-#: Stable per-row trend labels (worker counts and batch sizes are
-#: configuration, not identity: the trend must keep comparing like with
-#: like if WORKERS or BATCH is ever tuned).
-TREND_LABELS = ("bench:serial", "bench:pool", "bench:socket-batched",
-                "bench:socket-unbatched")
+#: Stable per-row trend labels (worker counts are configuration, not
+#: identity: the trend must keep comparing like with like if WORKERS is
+#: ever tuned).  The socket row keeps the ``socket-unbatched`` label:
+#: its history is this same one-scenario-per-frame path.
+TREND_LABELS = ("bench:serial", "bench:pool", "bench:socket-unbatched")
 
 #: Enough work for per-scenario cost to dominate setup, small enough for
 #: CI: 3 sizes x 2 budgets x 2 adversaries x 2 patterns x 3 seeds = 72.
@@ -110,26 +106,14 @@ def test_backend_throughput_and_equivalence():
             proc, address = spawn_worker()
             procs.append(proc)
             addresses.append(address)
-        backend = SocketBackend(
-            addresses, job_timeout=120.0, batch=BATCH, adaptive_window=True,
-        )
+        backend = SocketBackend(addresses, job_timeout=120.0)
         sock, sock_row = timed(backend, f"socket[{WORKERS}]")
-        # Same fleet, unbatched (v4-equivalent dispatch): the spread
-        # between this row and the one above is the batching win itself,
-        # measured on one machine in one run.
-        unbatched, unbatched_row = timed(
-            SocketBackend(addresses, job_timeout=120.0),
-            f"socket[{WORKERS}] batch=1",
-        )
         # Separate instrumented pass (workers still alive): the timed run
         # above stays untouched by telemetry overhead, and this one
         # decomposes the socket pipeline into phases for the JSON.
         telemetry = Telemetry()
         CampaignRunner(
-            backend=SocketBackend(
-                addresses, job_timeout=120.0, batch=BATCH,
-                adaptive_window=True,
-            ),
+            backend=SocketBackend(addresses, job_timeout=120.0),
             telemetry=telemetry,
         ).run(GRID)
         phase_rows = phase_breakdown(telemetry.rows)
@@ -142,18 +126,15 @@ def test_backend_throughput_and_equivalence():
     # Equivalence: every backend, one row stream.
     assert pool.rows == serial.rows
     assert sock.rows == serial.rows
-    assert unbatched.rows == serial.rows
     per_worker = backend.last_stats["per_worker"]
     assert all(count > 0 for count in per_worker.values()), per_worker
 
-    for row in (pool_row, sock_row, unbatched_row):
+    for row in (pool_row, sock_row):
         row["vs_serial"] = round(
             serial_row["wall_s"] / row["wall_s"], 2
         )
     serial_row["vs_serial"] = 1.0
-    # backends[2] is the batched socket row -- the one the CI bench-trend
-    # step tracks; the batch=1 row rides behind it for the comparison.
-    rows = [serial_row, pool_row, sock_row, unbatched_row]
+    rows = [serial_row, pool_row, sock_row]
     BENCH_PATH.write_text(
         json.dumps(
             {
@@ -168,17 +149,17 @@ def test_backend_throughput_and_equivalence():
     # One trend record per backend row, appended to the committed
     # history: `repro trend BENCH_trend.jsonl` renders the trajectory,
     # `--check` is the CI regression gate.  The instrumented socket pass
-    # contributes phase shares and cache hit rates to the batched row.
+    # contributes phase shares and cache hit rates to the socket row.
     for label, row in zip(TREND_LABELS, rows):
-        batched_socket = label == "bench:socket-batched"
+        socket_row = row is sock_row
         append_record(TREND_PATH, make_record(
             label=label,
             scenarios=row["scenarios"],
             wall_s=row["wall_s"],
             backend=row["backend"],
-            phase_share=phase_shares(telemetry.rows) if batched_socket else None,
+            phase_share=phase_shares(telemetry.rows) if socket_row else None,
             cache_hit_rate=(cache_hit_rates(telemetry.rows)
-                            if batched_socket else None),
+                            if socket_row else None),
         ))
     print_table(
         rows,
@@ -191,20 +172,14 @@ def test_backend_throughput_and_equivalence():
         ["phase", "count", "total_s", "mean_ms", "share_%"],
         f"Socket pipeline phases ({WORKERS} workers, instrumented pass)",
     )
-    # Speedup bar (PR 8): with batched frames and the adaptive window,
-    # protocol overhead must no longer dominate.  What that means is
-    # CPU-bound: scenarios are pure compute, so on a single-core box a
-    # worker fleet *cannot* beat serial (there is no second core to run
-    # it on) and the bar is "batching keeps total overhead under ~15%";
-    # with 2+ cores the fleet must genuinely beat serial.  The CI
-    # bench-trend step separately refuses regressions below the
-    # committed vs_serial value.
+    # Speedup bar: protocol overhead must not dominate.  What that
+    # means is CPU-bound: scenarios are pure compute, so on a
+    # single-core box a worker fleet *cannot* beat serial (there is no
+    # second core to run it on) and the bar is "total overhead under
+    # ~15%"; with 2+ cores the fleet must genuinely beat serial.  The
+    # CI bench-trend step separately refuses throughput regressions.
     floor = 1.2 if (os.cpu_count() or 1) >= 2 else 0.85
     assert sock_row["scen_per_s"] >= floor * serial_row["scen_per_s"], rows
-    # And batching must not be slower than per-job dispatch on the same
-    # fleet (margin for timer noise at these sub-second walls).
-    assert (sock_row["scen_per_s"]
-            >= 0.9 * unbatched_row["scen_per_s"]), rows
     # Phase shares are wall-clock fractions (union of intervals), so no
     # phase may claim more than 100% of the wall -- the share_% fix this
     # PR regression-tests.

@@ -113,7 +113,7 @@ class _FrameWalk(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        # ``frame: Dict[str, Any] = {...}`` -- how _jobs_frame binds.
+        # ``frame: Dict[str, Any] = {...}`` -- how _job_frame binds.
         self._bind(node.target, node.value, node.lineno)
         self.generic_visit(node)
 

@@ -471,8 +471,6 @@ class Experiment:
         require_all: bool = False,
         connect_retries: int = 2,
         backoff: float = 0.5,
-        batch: int = 1,
-        adaptive_window: bool = False,
         chunk_size: Optional[int] = None,
         mp_context: str = "fork",
         lock: bool = True,
@@ -501,11 +499,6 @@ class Experiment:
                 workers, with exponential backoff from ``backoff``.
             backoff: base backoff seconds for socket connect retries and
                 mid-campaign reconnects.
-            batch: scenarios packed into each socket wire frame (1 =
-                unbatched); amortizes per-job dispatch/wire overhead.
-            adaptive_window: let each socket link's pipeline window
-                self-tune -- widen while its worker reports near-zero
-                queue wait, shrink under heartbeat pressure.
             chunk_size / mp_context: pool-backend tuning.
             lock: hold the store's exclusive writer lockfile while
                 executing (see :class:`CampaignRunner`).
@@ -536,7 +529,6 @@ class Experiment:
             backend, workers=workers, connect=connect,
             job_timeout=job_timeout, require_all=require_all,
             connect_retries=connect_retries, backoff=backoff,
-            batch=batch, adaptive_window=adaptive_window,
         )
         try:
             runner = CampaignRunner(
@@ -573,8 +565,6 @@ class Experiment:
         require_all: bool = False,
         connect_retries: int = 2,
         backoff: float = 0.5,
-        batch: int = 1,
-        adaptive_window: bool = False,
     ) -> Report:
         """Build a report, executing only scenarios the store is missing.
 
@@ -603,7 +593,6 @@ class Experiment:
             backend, workers=workers, connect=connect,
             job_timeout=job_timeout, require_all=require_all,
             connect_retries=connect_retries, backoff=backoff,
-            batch=batch, adaptive_window=adaptive_window,
         )
         try:
             return build_report(
@@ -713,8 +702,6 @@ class Experiment:
         require_all: bool = False,
         connect_retries: int = 2,
         backoff: float = 0.5,
-        batch: int = 1,
-        adaptive_window: bool = False,
     ) -> Tuple[Optional[Backend], bool]:
         """The backend to run on, plus whether this call owns it."""
         if isinstance(backend, Backend):
@@ -730,8 +717,6 @@ class Experiment:
                 require_all=require_all,
                 connect_retries=connect_retries,
                 backoff=backoff,
-                batch=batch,
-                adaptive_window=adaptive_window,
             ),
             True,
         )

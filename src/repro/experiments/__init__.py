@@ -8,7 +8,7 @@ from .sweeps import (
     sweep_faults,
     sweep_scale,
 )
-from .figures import ascii_plot, sparkline
+from ..reporting.render import ascii_plot, format_markdown, format_table, sparkline
 from .montecarlo import (
     TrialStats,
     run_single_trial,
@@ -18,7 +18,6 @@ from .montecarlo import (
     trial_stats,
 )
 from .report import generate_report
-from .tables import format_markdown, format_table
 
 __all__ = [
     "ascii_plot",

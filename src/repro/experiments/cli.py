@@ -49,12 +49,11 @@ from ..lowerbounds.rounds import round_lower_bound
 from ..obs.logsetup import LOG_LEVELS, configure_logging
 from ..predictions.generators import GENERATORS
 from ..reporting.paper import SCALES as REPORT_SCALES, paper_report_spec
-from ..reporting.render import write_report
+from ..reporting.render import format_table, write_report
 from ..runtime.backends import BACKEND_NAMES, BackendError
 from ..runtime.scenario import INPUT_PATTERNS
 from ..runtime.store import ResultStore, StoreLockError
 from .sweeps import run_once, sweep_budget, sweep_faults
-from .tables import format_table
 
 _ROW_COLUMNS = [
     "n", "t", "f", "B", "mode", "adversary", "agreed", "rounds", "messages",
@@ -287,14 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument(
         "--die-after-jobs", type=int, default=None, metavar="N",
         help="failure injection for tests/CI: accept N jobs, then drop "
-        "dead without replying (a batch crossing the limit dies whole)",
-    )
-    worker.add_argument(
-        "--shard", default=None, metavar="PATH",
-        help="append ok result rows to this local JSONL shard instead of "
-        "shipping them over the wire; the driver reconciles shards "
-        "through the store-merge path (requires a filesystem the driver "
-        "can read; one distinct path per worker)",
+        "dead without replying",
     )
     worker.add_argument(
         "--log-level", choices=sorted(LOG_LEVELS), default="info",
@@ -439,17 +431,6 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
         help="socket backend: base backoff for connect retries and "
         "mid-campaign reconnects (doubles per failure; default: 0.5)",
     )
-    parser.add_argument(
-        "--batch", type=int, default=1, metavar="N",
-        help="socket backend: scenarios packed into each wire frame "
-        "(amortizes per-job dispatch/wire overhead; default: 1)",
-    )
-    parser.add_argument(
-        "--adaptive-window", action="store_true",
-        help="socket backend: self-tune each worker's pipeline window "
-        "(widen while the worker reports near-zero queue wait, shrink "
-        "under heartbeat pressure)",
-    )
 
 
 def _profile_scenario(experiment: Experiment, top: int) -> int:
@@ -515,8 +496,6 @@ def _run_campaign_command(args: argparse.Namespace) -> int:
             require_all=args.require_all,
             connect_retries=args.connect_retries,
             backoff=args.backoff,
-            batch=args.batch,
-            adaptive_window=args.adaptive_window,
             telemetry=args.telemetry or None,
             live=args.live,
             trend=args.trend or None,
@@ -594,8 +573,6 @@ def _run_report_command(args: argparse.Namespace) -> int:
                 require_all=args.require_all,
                 connect_retries=args.connect_retries,
                 backoff=args.backoff,
-                batch=args.batch,
-                adaptive_window=args.adaptive_window,
             )
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -629,8 +606,7 @@ def _run_worker_command(args: argparse.Namespace) -> int:
     try:
         chaos = ChaosPolicy.parse(args.chaos) if args.chaos else None
         return serve(args.serve, die_after_jobs=args.die_after_jobs,
-                     log_level=args.log_level, chaos=chaos,
-                     shard=args.shard)
+                     log_level=args.log_level, chaos=chaos)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

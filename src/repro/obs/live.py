@@ -122,7 +122,6 @@ class LiveReporter:
             ("cached", "campaign.cached"),
             ("failed", "campaign.failed"),
             ("quarantined", "campaign.quarantined"),
-            ("sharded", "campaign.sharded"),
         ):
             value = int(registry.value(name))
             if value:

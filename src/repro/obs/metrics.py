@@ -42,7 +42,7 @@ METRICS_SCHEMA_VERSION = 1
 
 #: Default histogram bucket upper bounds, in seconds -- sized for the
 #: durations this runtime actually sees (sub-ms lock waits up to
-#: multi-second batch round trips).  The last bucket is implicit +inf.
+#: multi-second job round trips).  The last bucket is implicit +inf.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0,
 )

@@ -111,17 +111,16 @@ def phase_breakdown(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
     ``share_%`` answers a different question -- "what fraction of the
     campaign wall saw this phase active?" -- so it reconstructs each
     job's phase *intervals* on the telemetry clock (job events are
-    emitted at batch completion; phases are laid out backwards from
-    ``at`` on the driver side and forwards from batch receipt on the
-    worker side) and divides the union of those intervals by the wall.
-    By construction every share is <= 100%, no matter how many jobs
+    emitted when the result lands; phases are laid out backwards from
+    ``at`` on the driver side and forwards from dispatch on the worker
+    side) and divides the union of those intervals by the wall.  By
+    construction every share is <= 100%, no matter how many jobs
     overlap.  Blank without a campaign span.
 
-    Includes a synthetic ``wire+dispatch`` phase: the driver-computed
-    ``wire_s`` attribute when present (batched frames: in-flight residual
-    split evenly across the batch), else the per-job residual ``inflight
-    - deserialize - worker queue - execute`` -- time a job was in flight
-    but provably not executing: framing, TCP, and driver loop overhead.
+    Includes a synthetic ``wire+dispatch`` phase: the per-job residual
+    ``inflight - deserialize - worker queue - execute`` -- time a job
+    was in flight but provably not executing: framing, TCP, and driver
+    loop overhead.
     """
     jobs = _events(rows, "job")
     wall = campaign_wall(rows)
@@ -149,11 +148,8 @@ def phase_breakdown(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
             if value is not None:
                 totals[label].append(float(value))
         inflight = attrs.get("inflight_s")
-        wire = attrs.get("wire_s")
-        if wire is not None:
-            wire = float(wire)
-            totals["wire+dispatch"].append(wire)
-        elif inflight is not None:
+        wire = None
+        if inflight is not None:
             residual = float(inflight)
             for field in ("deser_s", "worker_queue_s", "exec_s"):
                 residual -= float(attrs.get(field) or 0.0)
@@ -170,26 +166,25 @@ def phase_breakdown(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
             # ending at the event timestamp.
             mark("execute", at - exec_s, at)
             continue
-        # Socket job: the event fires when its batch's results frame
-        # lands, so the batch was in flight over [at - inflight, at].
-        # Driver-side phases precede dispatch; worker-side phases are
-        # laid out forward from batch receipt (~ dispatch), each job's
-        # worker queue_s already offsetting it past its batch-mates.
+        # Socket job: the event fires when its result frame lands, so
+        # the job was in flight over [at - inflight, at].  Driver-side
+        # phases precede dispatch; worker-side phases are laid out
+        # forward from dispatch (~ receipt), the worker queue_s covering
+        # the wait behind the jobs ahead of it.
         inflight = float(inflight)
-        batch_start = at - inflight
-        mark("in flight", batch_start, at)
+        sent = at - inflight
+        mark("in flight", sent, at)
         serialize = float(attrs.get("serialize_s") or 0.0)
-        mark("serialize", batch_start - serialize, batch_start)
+        mark("serialize", sent - serialize, sent)
         queue = float(attrs.get("queue_s") or 0.0)
-        mark("queue wait*", batch_start - serialize - queue,
-             batch_start - serialize)
+        mark("queue wait*", sent - serialize - queue, sent - serialize)
         worker_queue = float(attrs.get("worker_queue_s") or 0.0)
-        mark("queue (worker)", batch_start, batch_start + worker_queue)
+        mark("queue (worker)", sent, sent + worker_queue)
         deser = float(attrs.get("deser_s") or 0.0)
-        mark("deserialize (worker)", batch_start + worker_queue,
-             batch_start + worker_queue + deser)
-        mark("execute", batch_start + worker_queue + deser,
-             batch_start + worker_queue + deser + exec_s)
+        mark("deserialize (worker)", sent + worker_queue,
+             sent + worker_queue + deser)
+        mark("execute", sent + worker_queue + deser,
+             sent + worker_queue + deser + exec_s)
         if wire:
             mark("wire+dispatch", at - wire, at)
 

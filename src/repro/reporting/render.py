@@ -1,11 +1,11 @@
 """Renderers: tables, ASCII/matplotlib figures, and report documents.
 
 This module owns every presentation primitive in the repository -- the
-monospace and Markdown table formatters and the ASCII plotters that
-``repro.experiments.tables``/``figures`` historically hosted (they now
-re-export from here) -- plus the document renderers that turn a built
-:class:`~repro.reporting.spec.Report` into ``EXPERIMENTS.md``, an HTML
-twin, per-sweep table files, and figure files.
+monospace and Markdown table formatters and the ASCII plotters (which
+``repro.experiments`` re-exports) -- plus the document renderers that
+turn a built :class:`~repro.reporting.spec.Report` into
+``EXPERIMENTS.md``, an HTML twin, per-sweep table files, and figure
+files.
 
 Determinism contract: renderers are pure functions of the built report.
 No timestamps, hostnames, or execution statistics appear in any rendered

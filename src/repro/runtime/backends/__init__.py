@@ -47,8 +47,6 @@ def make_backend(
     require_all: bool = False,
     connect_retries: int = 2,
     backoff: float = 0.5,
-    batch: int = 1,
-    adaptive_window: bool = False,
     chaos: Optional[ChaosPolicy] = None,
 ) -> Backend:
     """Build a backend by name.
@@ -59,9 +57,8 @@ def make_backend(
     ``CampaignRunner(workers=N)``.  An explicit ``"pool"`` uses at least
     2 processes (a 1-process pool is just a slower serial).  ``"socket"``
     requires at least one ``HOST:PORT`` in ``connect``; ``require_all``,
-    ``connect_retries``, ``backoff``, ``batch``/``adaptive_window``
-    (jobs per wire frame / self-tuning pipeline depth), and ``chaos``
-    are socket-only knobs (see :class:`SocketBackend`).
+    ``connect_retries``, ``backoff`` and ``chaos`` are socket-only knobs
+    (see :class:`SocketBackend`).
     """
     if name is None or name == "auto":
         name = "serial" if workers == 1 and not connect else (
@@ -72,13 +69,6 @@ def make_backend(
         # the local machine while the connected fleet sits idle.
         raise ValueError(
             f"--connect only applies to the socket backend, not {name!r}"
-        )
-    if name in ("serial", "pool") and (batch != 1 or adaptive_window):
-        # Same fail-fast contract: wire-batching knobs silently ignored
-        # on a local backend would misreport what an experiment measured.
-        raise ValueError(
-            f"--batch/--adaptive-window only apply to the socket backend, "
-            f"not {name!r}"
         )
     if name == "serial":
         return SerialBackend()
@@ -94,8 +84,7 @@ def make_backend(
             )
         return SocketBackend(
             list(connect), job_timeout=job_timeout, require_all=require_all,
-            connect_retries=connect_retries, backoff=backoff,
-            batch=batch, adaptive_window=adaptive_window, chaos=chaos,
+            connect_retries=connect_retries, backoff=backoff, chaos=chaos,
         )
     raise ValueError(
         f"unknown backend {name!r} (known: {', '.join(BACKEND_NAMES)})"

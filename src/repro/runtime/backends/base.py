@@ -122,36 +122,6 @@ def timed_execute_job(job: Job) -> TimedJobResult:
     return key, True, row, timing
 
 
-def execute_batch(
-    jobs: Sequence[Job],
-    telemetry: bool = False,
-    arrival: Optional[float] = None,
-) -> List[TimedJobResult]:
-    """Execute ``jobs`` in order; one ``(key, ok, row, timing)`` per job.
-
-    The worker-side unbatching primitive: a batched ``jobs`` frame is
-    executed strictly sequentially (rows stay a pure function of each
-    spec -- batching must not change results), and each entry's sidecar
-    gets a ``queue_s`` measured from ``arrival`` (the batch's receive
-    timestamp, ``time.perf_counter()``), so a job late in a batch
-    honestly reports the time it spent waiting behind its batch-mates.
-    A poison job (:data:`POISON_ENV`) kills the process at its position,
-    leaving the batch unanswered -- the driver requeues all N.
-    """
-    out: List[TimedJobResult] = []
-    for job in jobs:
-        started = time.perf_counter()
-        queue_s = started - arrival if arrival is not None else 0.0
-        if telemetry:
-            key, ok, row, timing = timed_execute_job(job)
-        else:
-            key, ok, row = execute_job(job)
-            timing = {"exec_s": time.perf_counter() - started}
-        timing["queue_s"] = queue_s
-        out.append((key, ok, row, timing))
-    return out
-
-
 class Backend:
     """Base class: capability flags, context management, the submit hook."""
 

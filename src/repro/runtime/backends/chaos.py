@@ -20,12 +20,11 @@ Where the chaos lands:
   worker-to-driver frames (results, pongs).
 
 Only *sends* are perturbed -- every frame crosses exactly one chaos
-point per armed side, which keeps the fault model countable.  Since a
-frame is the batching unit (protocol v5 packs up to ``--batch`` jobs
-into one ``jobs``/``results`` frame as a single ``sendall``), faults
-act on whole batches: a dropped or corrupted frame costs all N jobs at
-once, and recovery requeues all N -- never a partial batch.  The
-handshake is exempt (wrappers start disarmed and are armed after the
+point per armed side, which keeps the fault model countable.  A frame
+is one ``sendall`` and (protocol v7) carries one scenario, so a dropped
+or corrupted ``job``/``result`` frame costs exactly that scenario a
+resend or a requeue, while a reset costs every job in flight on the
+link.  The handshake is exempt (wrappers start disarmed and are armed after the
 hello/welcome exchange): connection-establishment failures are the
 reconnect machinery's department and are injected by killing workers,
 not by making the version check flaky.

@@ -5,10 +5,9 @@ The driver connects to every ``HOST:PORT`` it was given, handshakes
 shards the pending scenarios across the connected workers by content
 hash -- ``int(hash, 16) % workers`` -- so the assignment is deterministic
 for a given worker count and independent of dict/queue ordering.  One
-driver thread per worker keeps a small window of *batches* in flight --
-each ``jobs`` frame carries up to ``batch`` scenarios, unbatched and
-executed in order by the worker, answered by one ``results`` frame --
-and enforces liveness:
+driver thread per worker keeps a small window of scenarios in flight --
+one ``job`` frame each, answered by one ``result`` frame -- and enforces
+liveness:
 
 * a worker that closes its socket (killed process, network drop) is dead
   immediately;
@@ -17,22 +16,10 @@ and enforces liveness:
   dedicated reader thread even mid-execution, so a slow scenario alone
   never trips this -- tune ``job_timeout`` to the slowest expected
   scenario);
-* a worker that answers pings while a batch stays outstanding past
-  ``job_timeout`` gets the batch *resent whole* (a dropped frame on a
-  live link starves, it does not kill -- and frames are the fault unit,
-  so a lost batch means all N jobs are owed again);
-  :data:`~SocketBackend.MAX_RESENDS` losses of the same batch declare
-  the link dead anyway.
-
-Batching amortizes the per-job serialize + dispatch + wire cost that
-made socket campaigns slower than serial; ``adaptive_window=True``
-additionally widens a link's pipeline window while the worker reports
-near-zero queue wait (the worker is starving -- send more) and halves it
-back toward the configured floor whenever the heartbeat path fires (the
-link is under pressure).  Workers started with ``--shard`` append ok
-rows to a local JSONL shard instead of shipping them back; the driver
-reconciles the shards through the store-merge machinery after the fleet
-drains (hash-keyed dedup makes re-executed duplicates harmless).
+* a worker that answers pings while a job stays outstanding past
+  ``job_timeout`` gets the job *resent* (a dropped frame on a live link
+  starves, it does not kill); :data:`~SocketBackend.MAX_RESENDS` losses
+  of the same job declare the link dead anyway.
 
 The backend assumes failure is normal, not exceptional:
 
@@ -55,6 +42,7 @@ The backend assumes failure is normal, not exceptional:
   empty for ``degrade_after`` seconds), the driver executes the leftovers
   locally in isolated subprocesses rather than aborting: campaigns always
   complete.  ``degrade=False`` restores the old fail-stop behavior.
+  Probes and degradation share one isolated-subprocess runner;
 * **fault injection** -- ``chaos=ChaosPolicy(...)`` wraps each worker
   connection (post-handshake) so all of the above can be exercised
   deterministically; see :mod:`~repro.runtime.backends.chaos`.
@@ -78,7 +66,9 @@ import random
 import socket
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from ...analysis.watchdog import traced_lock
 from ...obs import metrics
@@ -90,7 +80,7 @@ from .wire import (
     PROTOCOL_VERSION,
     FrameReceiver,
     WireError,
-    decode_results,
+    decode_result,
     parse_address,
     recv_frame,
     send_frame,
@@ -109,6 +99,13 @@ _MAX_BACKOFF_S = 30.0
 #: pays interpreter + import startup that a TCP worker already paid.
 _SPAWN_GRACE_S = 30.0
 
+#: One isolated-runner outcome: ``(key, (ok, row))`` for a finished job,
+#: ``(key, None)`` for the job its child crashed or stalled on.
+_Outcome = Tuple[str, Optional[Tuple[bool, Dict[str, Any]]]]
+
+#: One submit-loop event: ``(kind, link, payload)``.
+_Event = Tuple[str, Any, Any]
+
 
 class _Occupancy:
     """Pipeline-window occupancy integral for one worker link.
@@ -116,9 +113,8 @@ class _Occupancy:
     Tracks how many jobs are in flight over time (driven only from the
     link's single driver thread, so no locking): ``busy_s`` is time with
     at least one job in flight, the integral divided by wall time is the
-    mean window depth.  This is the number the ROADMAP's batching work
-    must move -- a mean window well below the configured ``window`` means
-    the driver, not the worker, is the bottleneck.
+    mean window depth.  A mean window well below the configured
+    ``window`` means the driver, not the worker, is the bottleneck.
     """
 
     __slots__ = ("started", "last", "count", "busy_s", "integral", "peak")
@@ -172,23 +168,13 @@ class _WorkerLink:
         self.resends = 0
         #: Handshake duration (set by ``_open_link``).
         self.connect_s = 0.0
-        #: Result shard path the worker advertised in ``welcome`` (absent
-        #: unless the worker runs with ``--shard``).
-        self.shard: Optional[str] = None
-        #: Current pipeline window in *batches* (adaptive mode moves it
-        #: between the configured floor and ``MAX_WINDOW``; only the
-        #: link's driver thread touches it).
-        self.window = 1
-        #: Batch ids for this link's ``jobs`` frames (driver-thread only).
-        self.batch_ids = itertools.count(1)
         #: Measured ping round trips, oldest first (the post-handshake
         #: calibration ping plus any heartbeat pings; GIL-atomic appends).
         self.ping_rtts: List[float] = []
-        #: Telemetry only: per-batch ``(queue_s by key, serialize_s,
-        #: sent_perf)``.
-        self.phase_meta: Dict[int, Tuple[Dict[str, float], float, float]] = {}
+        #: Telemetry only: per-key ``(queue_s, serialize_s, sent_perf)``.
+        self.phase_meta: Dict[str, Tuple[float, float, float]] = {}
         #: Latest worker self-report (the wire-v6 ``metrics`` field on
-        #: ``pong``/``results`` frames); read by the live view and the
+        #: ``pong``/``result`` frames); read by the live view and the
         #: teardown ``socket.worker`` event.  GIL-atomic replace.
         self.worker_metrics: Optional[Dict[str, Any]] = None
         #: Jobs currently in flight on this link (driver-thread writes,
@@ -240,7 +226,7 @@ class _Reconnector:
     """
 
     def __init__(self, backend: "SocketBackend",
-                 events: "queue.Queue[Tuple[str, Any, Any]]") -> None:
+                 events: "queue.Queue[_Event]") -> None:
         self._backend = backend
         self._events = events
         self._stop = threading.Event()
@@ -296,30 +282,302 @@ class _Reconnector:
                 self._events.put(("joined", link, None))
 
 
+class _Submission:
+    """The state of one :meth:`SocketBackend.submit` call, and its handlers.
+
+    Driver threads, the reconnector and poison probes post ``(kind,
+    link, payload)`` events; the submit loop hands each to the handler
+    of its kind -- :meth:`on_result`, :meth:`on_dead`, :meth:`on_joined`,
+    :meth:`on_probed` -- and runs :meth:`degrade` between events.  Each
+    handler returns the results it settled.  Every field is read and
+    written only on the submit thread: the other threads just post
+    events, so no handler needs a lock.
+    """
+
+    def __init__(self, backend: "SocketBackend", pending: List[Job],
+                 links: List[_WorkerLink], unreachable: List[str]) -> None:
+        self.backend = backend
+        self.telemetry = current()
+        self.events: "queue.Queue[_Event]" = queue.Queue()
+        self.jobs: Dict[str, Job] = {key: (key, spec) for key, spec in pending}
+        self.remaining: Set[str] = set(self.jobs)
+        #: Scenario hash -> distinct executor idents that died with it in
+        #: flight (the quarantine evidence).
+        self.deaths: Dict[str, Set[str]] = {}
+        #: Keys currently being probed in an isolated subprocess.
+        self.probing: Set[str] = set()
+        #: Salvaged jobs with no live link to run them (await rejoin/degrade).
+        self.unassigned: Dict[str, Job] = {}
+        self.live: List[_WorkerLink] = list(links)
+        #: Every link of this submit, including dead ones (the live view
+        #: reads it from the reporter thread; appends are GIL-atomic).
+        self.all_links: List[_WorkerLink] = list(links)
+        self.degrade_deadline: Optional[float] = None
+        self.threads: List[threading.Thread] = []
+        self.reconnector: Optional[_Reconnector] = None
+        self.stats: Dict[str, Any] = {
+            "workers": len(links),
+            "unreachable": unreachable,
+            "lost": 0,
+            "requeued": 0,
+            "duplicates": 0,
+            "reconnects": 0,
+            "resends": 0,
+            "probed": 0,
+            "quarantined": 0,
+            "degraded": False,
+            "per_worker": {},
+            "ping_rtt_s": [],
+            "chaos": {},
+        }
+        for key, spec in pending:
+            links[_shard(key, len(links))].enqueue(key, spec)
+
+    def spawn(self, target: Callable[..., None], args: Tuple[Any, ...],
+              name: str) -> None:
+        """Start a daemon thread that :meth:`close` joins."""
+        thread = threading.Thread(target=target, args=args, name=name,
+                                  daemon=True)
+        thread.start()
+        self.threads.append(thread)
+
+    def start_driver(self, link: _WorkerLink) -> None:
+        self.spawn(self.backend._drive, (link, self.events),
+                   f"socket-driver:{link.ident}")
+
+    def start_probe(self, job: Job) -> None:
+        """Re-run a poison suspect alone in an isolated subprocess; the
+        probe thread only posts the outcome (see :meth:`on_probed`)."""
+        key = job[0]
+        self.probing.add(key)
+        self.stats["probed"] += 1
+        _log.warning(kv("poison-suspect", key=key[:12],
+                        deaths=len(self.deaths.get(key, ()))))
+        self.telemetry.event("socket.probe", key=key[:12],
+                             deaths=len(self.deaths.get(key, ())))
+        self.spawn(self.backend._probe, (job, self.events),
+                   f"socket-probe:{key[:12]}")
+
+    def next_event(self) -> Optional[_Event]:
+        """The next event; ``None`` when a pending degrade deadline
+        passes first."""
+        timeout = None
+        if (self.degrade_deadline is not None and not self.live
+                and self.remaining - self.probing):
+            timeout = max(0.05, self.degrade_deadline - time.monotonic())
+        try:
+            return self.events.get(timeout=timeout)
+        except queue.Empty:
+            return None
+
+    # -- event handlers ------------------------------------------------
+
+    def on_result(self, link: _WorkerLink,
+                  payload: JobResult) -> List[JobResult]:
+        key = payload[0]
+        if key not in self.remaining or key in self.probing:
+            self.stats["duplicates"] += 1
+            return []
+        self.remaining.discard(key)
+        link.completed += 1
+        return [payload]
+
+    def on_dead(self, link: _WorkerLink,
+                payload: Tuple[List[Job], List[Job]]) -> List[JobResult]:
+        inflight_jobs, queued_jobs = payload
+        self.live = [peer for peer in self.live if peer is not link]
+        link.close()
+        self.stats["lost"] += 1
+        # In-flight at death is the poison evidence; merely queued jobs
+        # are innocent bystanders.
+        for key, _ in inflight_jobs:
+            if key in self.remaining:
+                self.deaths.setdefault(key, set()).add(link.ident)
+        # The driver thread drained its queue before posting this event,
+        # but if another worker died first, the submit loop may have
+        # requeued jobs onto the link in that window -- jobs no thread
+        # will ever read.  Requeue puts happen only on the submit thread,
+        # so draining here, after removing the link from ``live``, is
+        # final.
+        salvaged = inflight_jobs + queued_jobs + link.drain_jobs()
+        self.telemetry.event("socket.worker_dead", worker=link.address,
+                             ident=link.ident, salvaged=len(salvaged))
+        if self.reconnector is not None:
+            self.reconnector.mark_down(link.address)
+        requeue: Dict[str, Job] = {}
+        for job in salvaged:
+            key = job[0]
+            if key not in self.remaining or key in self.probing or key in requeue:
+                continue
+            if len(self.deaths.get(key, ())) >= self.backend.quarantine_after:
+                self.start_probe(job)
+            else:
+                requeue[key] = job
+        if self.live:
+            for key, spec in requeue.values():
+                self.live[_shard(key, len(self.live))].enqueue(key, spec)
+            if requeue:
+                self.telemetry.event("socket.requeue", count=len(requeue),
+                                     survivors=len(self.live))
+        else:
+            self.unassigned.update(requeue)
+        self.stats["requeued"] += len(requeue)
+        metrics.inc("socket.requeues", len(requeue))
+        return []
+
+    def on_joined(self, link: _WorkerLink, payload: None) -> List[JobResult]:
+        self.live.append(link)
+        self.all_links.append(link)
+        self.stats["reconnects"] += 1
+        metrics.inc("socket.reconnects")
+        self.degrade_deadline = None
+        self.start_driver(link)
+        # Reshard: the newcomer takes its hash share of the queued (not
+        # in-flight) work plus anything stranded.
+        pool: Dict[str, Job] = dict(self.unassigned)
+        self.unassigned.clear()
+        for peer in self.live:
+            if peer is not link:
+                for job in peer.drain_jobs():
+                    pool.setdefault(job[0], job)
+        for key, job in pool.items():
+            if key in self.remaining and key not in self.probing:
+                self.live[_shard(key, len(self.live))].enqueue(*job)
+        return []
+
+    def on_probed(self, link: None, payload: Tuple[Job, Any]) -> List[JobResult]:
+        job, outcome = payload
+        key = job[0]
+        self.probing.discard(key)
+        if key not in self.remaining:
+            self.stats["duplicates"] += 1
+            return []
+        result = self.settle(key, outcome)
+        # A suspect already carries quarantine_after deaths, so settle()
+        # convicts a crashed probe instead of asking for a retry.
+        assert result is not None
+        self.remaining.discard(key)
+        return [result]
+
+    # -- isolated execution (probe outcomes + degradation) -------------
+
+    def settle(self, key: str, outcome: Optional[Tuple[bool, Dict[str, Any]]]
+               ) -> Optional[JobResult]:
+        """The result an isolated-runner outcome settles, if any.
+
+        A finished job is its row.  A crash charges the job with one more
+        executor death; at ``quarantine_after`` deaths the job is
+        quarantined (its structured failure row is returned), below it
+        ``None`` asks the caller to retry it in a fresh child.
+        """
+        if outcome is not None:
+            return key, outcome[0], outcome[1]
+        executors = self.deaths.setdefault(key, set())
+        executors.add(f"isolated#{len(executors) + 1}")
+        if len(executors) < self.backend.quarantine_after:
+            return None
+        self.stats["quarantined"] += 1
+        _log.error(kv("quarantined", key=key[:12], executors=len(executors)))
+        self.telemetry.event("socket.quarantine", key=key[:12],
+                             executors=sorted(executors))
+        return key, False, quarantine_row(key, executors)
+
+    def degrade(self) -> Iterator[JobResult]:
+        """Finish stranded work locally once the fleet is gone for good.
+
+        Runs only with no live link and fleet work left, and (with
+        reconnect on) only after ``degrade_after`` seconds without a
+        rejoin.  The leftovers run in isolated subprocesses; each crash
+        is settled by :meth:`settle`, so even a never-dispatched poison
+        job cannot take the driver down with it.
+        """
+        if self.live:
+            return
+        fleet_work = self.remaining - self.probing
+        if not fleet_work:
+            return
+        backend = self.backend
+        if backend.reconnect:
+            if self.degrade_deadline is None:
+                self.degrade_deadline = time.monotonic() + backend.degrade_after
+            if time.monotonic() < self.degrade_deadline:
+                return
+        if not backend.degrade:
+            raise BackendError(
+                f"all socket worker(s) died with {len(fleet_work)} "
+                f"scenario(s) unfinished"
+            )
+        self.stats["degraded"] = True
+        self.unassigned.clear()
+        self.degrade_deadline = None
+        _log.warning(kv("degraded", remaining=len(fleet_work)))
+        self.telemetry.event("backend.degraded", remaining=len(fleet_work),
+                             reason="no live workers")
+        pending = [self.jobs[key] for key in sorted(fleet_work)]
+        while pending:
+            settled = 0
+            for key, outcome in backend._run_isolated(pending):
+                result = self.settle(key, outcome)
+                if result is None:
+                    break  # the runner stops after a crash: retry from it
+                settled += 1
+                if key in self.remaining:
+                    self.remaining.discard(key)
+                    yield result
+            pending = pending[settled:]
+
+    # -- teardown --------------------------------------------------------
+
+    def close(self) -> None:
+        """Stop the reconnector, dismiss the drivers, join every thread
+        this submit started, close every link and fold the per-link
+        counters into :attr:`stats`."""
+        if self.reconnector is not None:
+            self.reconnector.stop()
+        for link in self.live:
+            link.jobs.put(_DONE)
+        for thread in self.threads:
+            thread.join(timeout=self.backend.ping_grace)
+        # A redial may have landed after the loop finished; those links
+        # never got a driver thread -- just close them.
+        while True:
+            try:
+                kind, link, _ = self.events.get_nowait()
+            except queue.Empty:
+                break
+            if kind == "joined":
+                self.all_links.append(link)
+        per_worker: Dict[str, int] = {}
+        chaos_counts: Dict[str, int] = {}
+        for link in self.all_links:
+            link.close()
+            per_worker[link.address] = (
+                per_worker.get(link.address, 0) + link.completed
+            )
+            self.stats["resends"] += link.resends
+            injected = getattr(link.sock, "counts", None) or {}
+            for action, count in injected.items():
+                chaos_counts[action] = chaos_counts.get(action, 0) + count
+        self.stats["per_worker"] = per_worker
+        self.stats["chaos"] = chaos_counts
+        self.stats["ping_rtt_s"] = [
+            rtt for link in self.all_links for rtt in link.ping_rtts
+        ]
+
+
 class SocketBackend(Backend):
     """Execute scenarios on remote ``python -m repro worker`` processes.
 
     Args:
         addresses: worker endpoints, as ``"host:port"`` strings or
             ``(host, port)`` pairs.
-        job_timeout: seconds a batch may be outstanding before the worker
-            is pinged (and, if alive, the batch resent whole).
+        job_timeout: seconds a job may be outstanding before the worker
+            is pinged (and, if alive, the job resent).
         ping_grace: seconds after a ping before the worker is declared
             dead.
         connect_timeout: handshake/connect deadline per worker.
-        window: batches kept in flight per worker (pipelining hides the
-            request/response round trip).  With ``adaptive_window`` this
-            is the floor the window shrinks back to.
-        batch: jobs packed into each ``jobs`` frame (1 = the unbatched
-            wire behavior; the trailing batch may run short).  Batching
-            amortizes per-job serialize/dispatch/wire overhead; the
-            fault and requeue unit stays the frame, so a lost or dying
-            batch costs all N jobs exactly once.
-        adaptive_window: widen a link's window by one batch whenever the
-            worker reports near-zero queue wait with the window full
-            (worker starving), halve it back toward ``window`` when the
-            heartbeat path fires (link under pressure).  Capped at
-            :data:`MAX_WINDOW`.
+        window: jobs kept in flight per worker (pipelining hides the
+            request/response round trip).
         require_all: with ``True``, fail fast if any address is still
             unreachable after the connect retries; the default tolerates
             unreachable workers as long as at least one connects (they
@@ -348,17 +606,9 @@ class SocketBackend(Backend):
     parallel = True
     distributed = True
 
-    #: Times one batch may be resent to a live-but-silent worker before
+    #: Times one job may be resent to a live-but-silent worker before
     #: the link is declared dead anyway.
     MAX_RESENDS = 3
-
-    #: Ceiling on the adaptive pipeline window (batches per link).
-    MAX_WINDOW = 64
-
-    #: Worker-side queue wait below this (first job of a batch) reads as
-    #: "the worker was starving when this batch arrived" and lets the
-    #: adaptive window widen.
-    ADAPTIVE_STARVED_S = 0.005
 
     def __init__(
         self,
@@ -367,8 +617,6 @@ class SocketBackend(Backend):
         ping_grace: float = 10.0,
         connect_timeout: float = 10.0,
         window: int = 2,
-        batch: int = 1,
-        adaptive_window: bool = False,
         require_all: bool = False,
         connect_retries: int = 2,
         backoff: float = 0.5,
@@ -388,8 +636,6 @@ class SocketBackend(Backend):
             raise ValueError("timeouts must be positive")
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
         if connect_retries < 0:
             raise ValueError(f"connect_retries must be >= 0, got {connect_retries}")
         if backoff <= 0:
@@ -402,8 +648,6 @@ class SocketBackend(Backend):
         self.ping_grace = ping_grace
         self.connect_timeout = connect_timeout
         self.window = window
-        self.batch = batch
-        self.adaptive_window = adaptive_window
         self.require_all = require_all
         self.connect_retries = connect_retries
         self.backoff = backoff
@@ -421,16 +665,12 @@ class SocketBackend(Backend):
 
     # -- connection setup ---------------------------------------------
 
-    def _connect(
-        self, address: str
-    ) -> Tuple[socket.socket, Optional[float], Optional[str]]:
-        """Handshake with one worker; returns the socket, a measured
-        ping round trip (the first latency sample for :meth:`summary`),
-        and the result-shard path the worker advertised (if any)."""
+    def _connect(self, address: str) -> Tuple[socket.socket, Optional[float]]:
+        """Handshake with one worker; returns the socket and a measured
+        ping round trip (the first latency sample for :meth:`summary`)."""
         host, port = parse_address(address)
         sock = socket.create_connection((host, port), timeout=self.connect_timeout)
         rtt: Optional[float] = None
-        shard: Optional[str] = None
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             import os
@@ -450,9 +690,6 @@ class SocketBackend(Backend):
                 raise BackendError(
                     f"worker {address} spoke unexpected handshake {doc!r}"
                 )
-            advertised = doc.get("shard")
-            if isinstance(advertised, str) and advertised:
-                shard = advertised
             # Calibration ping: one measured round trip per connection, so
             # the RTT summary has a latency signal even on campaigns too
             # fast to ever trip the heartbeat path.  Nothing but a pong is
@@ -482,7 +719,7 @@ class SocketBackend(Backend):
         except BackendError:
             sock.close()
             raise
-        return sock, rtt, shard
+        return sock, rtt
 
     def _open_link(self, address: str) -> _WorkerLink:
         """Connect + handshake + (optionally) chaos-wrap one worker into a
@@ -490,7 +727,7 @@ class SocketBackend(Backend):
         ``_connect_all`` and the background reconnector."""
         telemetry = current()
         connect_start = time.perf_counter()
-        sock, rtt, shard = self._connect(address)
+        sock, rtt = self._connect(address)
         generation = next(self._generation)
         metrics.set_gauge("socket.reconnect_generation", generation)
         ident = f"{address}#g{generation}"
@@ -501,15 +738,12 @@ class SocketBackend(Backend):
             wrapped = self.chaos.wrap(sock, label=f"driver->{ident}")
         link = _WorkerLink(address, wrapped, ident=ident)
         link.connect_s = time.perf_counter() - connect_start
-        link.shard = shard
-        link.window = self.window
         if rtt is not None:
             link.ping_rtts.append(rtt)
         telemetry.event(
             "socket.connect", worker=address, ident=ident,
             dur_s=round(link.connect_s, 6),
             rtt_s=round(rtt, 6) if rtt is not None else None,
-            shard=shard,
         )
         return link
 
@@ -575,324 +809,37 @@ class SocketBackend(Backend):
         isolated subprocess and quarantined if the probe also crashes;
         an empty fleet (past the reconnect grace) degrades to isolated
         local execution.  The campaign always yields exactly one row per
-        key -- possibly a structured quarantine failure row.
+        key -- possibly a structured quarantine failure row.  The state
+        and its event handlers live in :class:`_Submission`.
         """
         if not pending:
             return
-        telemetry = current()
         links, unreachable = self._connect_all()
-        stats = self.last_stats = {
-            "workers": len(links),
-            "unreachable": unreachable,
-            "lost": 0,
-            "requeued": 0,
-            "duplicates": 0,
-            "reconnects": 0,
-            "resends": 0,
-            "probed": 0,
-            "quarantined": 0,
-            "sharded": 0,
-            "degraded": False,
-            "per_worker": {},
-            "ping_rtt_s": [],
-            "chaos": {},
+        run = _Submission(self, pending, links, unreachable)
+        self.last_stats = run.stats
+        self._all_links = run.all_links
+        handlers = {
+            "result": run.on_result,
+            "dead": run.on_dead,
+            "joined": run.on_joined,
+            "probed": run.on_probed,
         }
-        for key, spec in pending:
-            links[_shard(key, len(links))].enqueue(key, spec)
-
-        events: "queue.Queue[Tuple[str, Any, Any]]" = queue.Queue()
-        threads = []
-
-        def start_driver(link: _WorkerLink) -> None:
-            thread = threading.Thread(
-                target=self._drive, args=(link, events),
-                name=f"socket-driver:{link.ident}", daemon=True,
-            )
-            thread.start()
-            threads.append(thread)
-
-        for link in links:
-            start_driver(link)
-
-        reconnector: Optional[_Reconnector] = None
-        if self.reconnect:
-            reconnector = _Reconnector(self, events)
-            for address in unreachable:
-                reconnector.mark_down(address)
-            reconnector.start()
-
-        jobs_by_key: Dict[str, Job] = {key: (key, spec) for key, spec in pending}
-        remaining: Set[str] = set(jobs_by_key)
-        #: Scenario hash -> distinct executor idents that died with it in
-        #: flight (the quarantine evidence).
-        deaths: Dict[str, Set[str]] = {}
-        #: Keys currently being probed in an isolated subprocess.
-        probing: Set[str] = set()
-        #: Salvaged jobs with no live link to run them (await rejoin/degrade).
-        unassigned: Dict[str, Job] = {}
-        #: Keys acknowledged as sharded (row durable in a worker-local
-        #: shard, reconciled after the fleet drains): key -> shard path.
-        sharded_keys: Dict[str, str] = {}
-        live: List[_WorkerLink] = list(links)
-        all_links: List[_WorkerLink] = list(links)
-        self._all_links = all_links
-        degrade_deadline: Optional[float] = None
-
-        def start_probe(job: Job) -> None:
-            key = job[0]
-            probing.add(key)
-            stats["probed"] += 1
-            _log.warning(kv("poison-suspect", key=key[:12],
-                            deaths=len(deaths.get(key, ()))))
-            telemetry.event("socket.probe", key=key[:12],
-                            deaths=len(deaths.get(key, ())))
-            threading.Thread(
-                target=lambda: events.put(
-                    ("probed", None, (job, self._probe_isolated(job)))
-                ),
-                name=f"socket-probe:{key[:12]}", daemon=True,
-            ).start()
-
         try:
-            while remaining:
-                fleet_work = remaining - probing
-                if not live and fleet_work:
-                    if self.reconnect and degrade_deadline is None:
-                        degrade_deadline = time.monotonic() + self.degrade_after
-                    if (not self.reconnect
-                            or time.monotonic() >= degrade_deadline):
-                        if not self.degrade:
-                            raise BackendError(
-                                f"all socket worker(s) died with "
-                                f"{len(fleet_work)} scenario(s) unfinished"
-                            )
-                        stats["degraded"] = True
-                        unassigned.clear()
-                        _log.warning(kv("degraded",
-                                        remaining=len(fleet_work)))
-                        telemetry.event("backend.degraded",
-                                        remaining=len(fleet_work),
-                                        reason="no live workers")
-                        stranded = [jobs_by_key[k] for k in sorted(fleet_work)]
-                        for key, ok, row in self._drain_isolated(
-                                stranded, deaths, telemetry, stats):
-                            if key in remaining:
-                                remaining.discard(key)
-                                yield key, ok, row
-                        degrade_deadline = None
-                        continue
-                if not remaining:
-                    break
-                timeout = None
-                if degrade_deadline is not None and not live and fleet_work:
-                    timeout = max(0.05, degrade_deadline - time.monotonic())
-                try:
-                    kind, link, payload = events.get(timeout=timeout)
-                except queue.Empty:
-                    continue
-
-                if kind == "result":
-                    key, ok, row = payload
-                    if key not in remaining or key in probing:
-                        stats["duplicates"] += 1
-                        continue
-                    remaining.discard(key)
-                    link.completed += 1
-                    yield key, ok, row
-
-                elif kind == "sharded":
-                    # The worker durably appended this row to its shard
-                    # before acknowledging; the row itself is read back in
-                    # one reconciliation pass once the fleet drains.
-                    key, shard_path = payload
-                    if key not in remaining or key in probing:
-                        stats["duplicates"] += 1
-                        continue
-                    remaining.discard(key)
-                    link.completed += 1
-                    sharded_keys[key] = shard_path
-
-                elif kind == "dead":
-                    live = [peer for peer in live if peer is not link]
-                    link.close()
-                    stats["lost"] += 1
-                    inflight_jobs, queued_jobs = payload
-                    # In-flight at death is the poison evidence; merely
-                    # queued jobs are innocent bystanders.
-                    for job in inflight_jobs:
-                        if job[0] in remaining:
-                            deaths.setdefault(job[0], set()).add(link.ident)
-                    # The driver thread drained its queue before posting
-                    # this event, but if another worker died first, this
-                    # loop may have requeued jobs onto the link in that
-                    # window -- jobs no thread will ever read.  Requeue
-                    # puts happen only on this thread, so draining here,
-                    # after removing the link from ``live``, is final.
-                    salvaged = (list(inflight_jobs) + list(queued_jobs)
-                                + link.drain_jobs())
-                    telemetry.event("socket.worker_dead", worker=link.address,
-                                    ident=link.ident, salvaged=len(salvaged))
-                    if reconnector is not None:
-                        reconnector.mark_down(link.address)
-                    requeue: List[Job] = []
-                    seen: Set[str] = set()
-                    for job in salvaged:
-                        key = job[0]
-                        if (key not in remaining or key in probing
-                                or key in seen):
-                            continue
-                        seen.add(key)
-                        if len(deaths.get(key, ())) >= self.quarantine_after:
-                            start_probe(job)
-                        else:
-                            requeue.append(job)
-                    if live:
-                        for key, spec in requeue:
-                            live[_shard(key, len(live))].enqueue(key, spec)
-                        if requeue:
-                            telemetry.event("socket.requeue",
-                                            count=len(requeue),
-                                            survivors=len(live))
-                    else:
-                        for job in requeue:
-                            unassigned[job[0]] = job
-                    stats["requeued"] += len(requeue)
-                    metrics.inc("socket.requeues", len(requeue))
-
-                elif kind == "joined":
-                    live.append(link)
-                    all_links.append(link)
-                    stats["reconnects"] += 1
-                    metrics.inc("socket.reconnects")
-                    degrade_deadline = None
-                    start_driver(link)
-                    # Reshard: the newcomer takes its hash share of the
-                    # queued (not in-flight) work plus anything stranded.
-                    pool: Dict[str, Job] = dict(unassigned)
-                    unassigned.clear()
-                    for peer in live:
-                        if peer is link:
-                            continue
-                        for job in peer.drain_jobs():
-                            pool.setdefault(job[0], job)
-                    for key, job in pool.items():
-                        if key in remaining and key not in probing:
-                            live[_shard(key, len(live))].enqueue(*job)
-
-                elif kind == "probed":
-                    job, outcome = payload
-                    key = job[0]
-                    probing.discard(key)
-                    if key not in remaining:
-                        stats["duplicates"] += 1
-                        continue
-                    if outcome is None:
-                        # The isolated probe crashed too: confirmed poison.
-                        executors = deaths.setdefault(key, set())
-                        executors.add(f"isolated#{len(executors) + 1}")
-                        stats["quarantined"] += 1
-                        _log.error(kv("quarantined", key=key[:12],
-                                      executors=len(executors)))
-                        telemetry.event("socket.quarantine", key=key[:12],
-                                        executors=sorted(executors))
-                        remaining.discard(key)
-                        yield key, False, quarantine_row(key, executors)
-                    else:
-                        ok, row = outcome
-                        remaining.discard(key)
-                        yield key, ok, row
-            if sharded_keys:
-                yield from self._reconcile_shards(
-                    sharded_keys, jobs_by_key, stats, telemetry
-                )
+            for link in links:
+                run.start_driver(link)
+            if self.reconnect:
+                run.reconnector = _Reconnector(self, run.events)
+                for address in unreachable:
+                    run.reconnector.mark_down(address)
+                run.reconnector.start()
+            while run.remaining:
+                yield from run.degrade()
+                event = run.next_event() if run.remaining else None
+                if event is not None:
+                    kind, link, payload = event
+                    yield from handlers[kind](link, payload)
         finally:
-            if reconnector is not None:
-                reconnector.stop()
-            for link in live:
-                link.jobs.put(_DONE)
-            for thread in threads:
-                thread.join(timeout=self.ping_grace)
-            # A redial may have landed after the loop finished; those
-            # links never got a driver thread -- just close them.
-            while True:
-                try:
-                    kind, link, _ = events.get_nowait()
-                except queue.Empty:
-                    break
-                if kind == "joined":
-                    all_links.append(link)
-            for link in all_links:
-                link.close()
-            per_worker: Dict[str, int] = {}
-            chaos_counts: Dict[str, int] = {}
-            for link in all_links:
-                per_worker[link.address] = (
-                    per_worker.get(link.address, 0) + link.completed
-                )
-                stats["resends"] += link.resends
-                injected = getattr(link.sock, "counts", None)
-                if injected:
-                    for action, count in injected.items():
-                        chaos_counts[action] = (
-                            chaos_counts.get(action, 0) + count
-                        )
-            stats["per_worker"] = per_worker
-            stats["chaos"] = chaos_counts
-            stats["ping_rtt_s"] = [
-                rtt for link in all_links for rtt in link.ping_rtts
-            ]
-
-    def _reconcile_shards(
-        self,
-        sharded_keys: Dict[str, str],
-        jobs_by_key: Dict[str, Job],
-        stats: Dict[str, Any],
-        telemetry: Telemetry,
-    ) -> Iterator[JobResult]:
-        """Read acknowledged-but-row-less results back out of worker shards.
-
-        This is the store-merge path in miniature: each shard is an
-        ordinary :class:`~repro.runtime.store.ResultStore` file, loaded
-        with the same torn-tail-tolerant parser, keyed by scenario hash.
-        Rows are yielded in the campaign's usual ``(key, ok, row)`` shape
-        so the runner cannot tell a sharded row from a wire row.  A key
-        the shard cannot produce (unreadable file, torn row -- e.g. the
-        worker host died after acking but the shard lives on NFS that
-        vanished with it) falls back to local execution: the campaign
-        still completes with a correct row, because rows are pure
-        functions of their specs.
-        """
-        from ..store import ResultStore
-
-        by_shard: Dict[str, List[str]] = {}
-        for key, shard_path in sharded_keys.items():
-            by_shard.setdefault(shard_path, []).append(key)
-        for shard_path in sorted(by_shard):
-            keys = by_shard[shard_path]
-            missing: List[str] = []
-            try:
-                shard = ResultStore(shard_path)
-            except OSError as exc:
-                _log.warning(kv("shard-unreadable", shard=shard_path,
-                                keys=len(keys), error=str(exc)))
-                shard = None
-            for key in sorted(keys):
-                row = shard.get(key) if shard is not None else None
-                if row is None:
-                    missing.append(key)
-                    continue
-                stats["sharded"] += 1
-                yield key, True, row
-            telemetry.event(
-                "socket.shard_merge", shard=shard_path, rows=len(keys) - len(missing),
-                missing=len(missing),
-            )
-            _log.info(kv("shard-merge", shard=shard_path,
-                         rows=len(keys) - len(missing), missing=len(missing)))
-            for key in missing:
-                # Acked but unreadable: re-execute locally rather than
-                # losing the row (pure-function rows keep this identical).
-                yield execute_job(jobs_by_key[key])
+            run.close()
 
     def summary(self) -> str:
         stats = self.last_stats
@@ -912,8 +859,6 @@ class SocketBackend(Backend):
             parts.append(f"{stats['resends']} job resend(s)")
         if stats["quarantined"]:
             parts.append(f"{stats['quarantined']} scenario(s) quarantined")
-        if stats.get("sharded"):
-            parts.append(f"{stats['sharded']} row(s) via worker shards")
         if stats["degraded"]:
             parts.append("degraded to local isolated execution")
         if stats["duplicates"]:
@@ -957,7 +902,7 @@ class SocketBackend(Backend):
             rows.append({
                 "worker": link.ident,
                 "inflight": link.inflight_jobs,
-                "window": link.window,
+                "window": self.window,
                 "rtt_ms": round(rtts[-1] * 1e3, 2) if rtts else None,
                 "queue": report.get("queue"),
                 "done": done,
@@ -972,12 +917,12 @@ class SocketBackend(Backend):
     def _drive(
         self,
         link: _WorkerLink,
-        events: "queue.Queue[Tuple[str, Any, Any]]",
+        events: "queue.Queue[_Event]",
     ) -> None:
         telemetry = current()
         occupancy = _Occupancy() if telemetry.enabled else None
-        #: batch id -> mutable ``[jobs, sent_at_perf, resend_count]``.
-        inflight: Dict[int, List[Any]] = {}
+        #: scenario key -> mutable ``[job, sent_at_perf, resend_count]``.
+        inflight: Dict[str, List[Any]] = {}
         try:
             while True:
                 self._fill_window(link, inflight, telemetry, occupancy)
@@ -988,52 +933,26 @@ class SocketBackend(Backend):
                 snap = doc.get("metrics")
                 if isinstance(snap, dict):
                     link.worker_metrics = snap
-                if doc["type"] == "results":
-                    entry = inflight.pop(doc.get("batch"), None)
-                    if entry is None:
-                        # Duplicate answer to a batch we resent and have
-                        # since settled; the main loop dedups keys anyway.
-                        continue
-                    batch_jobs: List[Job] = entry[0]
-                    link.inflight_jobs -= len(batch_jobs)
-                    metrics.inc_gauge("socket.inflight", -len(batch_jobs))
-                    # All-or-nothing: a malformed results frame refuses
-                    # the batch whole (WireError -> dead link -> requeue).
-                    results = decode_results(doc)
-                    if occupancy is not None:
-                        occupancy.change(-len(batch_jobs))
-                        self._record_batch(telemetry, link, doc, results)
-                    link.phase_meta.pop(doc.get("batch"), None)
-                    answered: Set[str] = set()
-                    for res in results:
-                        key = res["key"]
-                        answered.add(key)
-                        if res.get("sharded") and link.shard is not None:
-                            events.put(("sharded", link, (key, link.shard)))
-                        elif res.get("sharded"):
-                            # Acked into a shard the worker never told us
-                            # about: treat as unanswered (requeued below).
-                            answered.discard(key)
-                        else:
-                            events.put((
-                                "result", link,
-                                (key, bool(res.get("ok")),
-                                 res.get("row") or {}),
-                            ))
-                    for job in batch_jobs:
-                        if job[0] not in answered:
-                            # The worker answered the batch but skipped a
-                            # job; requeue it rather than strand the key.
-                            link.enqueue(job[0], job[1])
-                    if self.adaptive_window:
-                        self._adapt_window(link, results, telemetry)
-                # pongs and unknown types just prove liveness
+                if doc["type"] != "result":
+                    continue  # pongs and unknown types just prove liveness
+                # A malformed result is a WireError -> dead link ->
+                # requeue, decided before any in-flight bookkeeping.
+                result = decode_result(doc)
+                key = result["key"]
+                if inflight.pop(key, None) is None:
+                    # Duplicate answer to a job we resent and have since
+                    # settled; the submit loop dedups keys anyway.
+                    continue
+                link.inflight_jobs -= 1
+                metrics.inc_gauge("socket.inflight", -1)
+                if occupancy is not None:
+                    occupancy.change(-1)
+                    self._record_job(telemetry, link, result)
+                events.put(("result", link, (key, result["ok"], result["row"])))
         except Exception:  # noqa: BLE001 - any escape means this link is
             # done; anything short of reporting it dead would leave its
             # in-flight scenarios unresolved and submit() blocked forever.
-            inflight_jobs = [
-                job for entry in inflight.values() for job in entry[0]
-            ]
+            inflight_jobs = [entry[0] for entry in inflight.values()]
             events.put(("dead", link, (inflight_jobs, link.drain_jobs())))
         finally:
             if link.inflight_jobs:
@@ -1045,79 +964,49 @@ class SocketBackend(Backend):
                 report = link.worker_metrics or {}
                 telemetry.event("socket.worker", worker=link.address,
                                 connect_s=round(link.connect_s, 6),
-                                window=link.window,
+                                window=self.window,
                                 w_queue=report.get("queue"),
                                 w_done=report.get("done"),
                                 w_exec_s=report.get("exec_s"),
                                 w_up_s=report.get("up_s"),
                                 **occupancy.summary())
 
-    def _record_batch(self, telemetry: Telemetry, link: _WorkerLink,
-                      doc: Dict[str, Any], results: List[Dict[str, Any]],
-                      ) -> None:
-        """One wide ``job`` event per batch entry, decomposed into phases.
+    def _record_job(self, telemetry: Telemetry, link: _WorkerLink,
+                    result: Dict[str, Any]) -> None:
+        """One wide ``job`` event per result, decomposed into phases.
 
-        Driver-side phases come from the link's per-batch stamp (queue
-        wait per key, one serialize amortized across the batch,
-        in-flight per batch); worker-side phases arrive per entry in the
-        ``results`` frame's ``timing`` sidecars (deserialize, worker
-        queue, execute, cache stats).  The wire + framing overhead is
-        computed here at batch granularity -- flight time minus the
-        worker's busy span (the last entry's ``queue_s + deser_s +
-        exec_s``, which covers the batch's in-order execution measured
-        from arrival) -- and amortized per job as ``wire_s``: the number
-        batching exists to shrink.
+        Driver-side phases come from the link's per-key stamp (queue
+        wait, serialize, in flight); worker-side phases arrive in the
+        ``result`` frame's ``timing`` sidecar (deserialize, worker
+        queue, execute, cache stats).
         """
-        meta = link.phase_meta.pop(doc.get("batch"), None)
-        now = time.perf_counter()
-        n = max(len(results), 1)
-        queue_by_key: Dict[str, float] = {}
-        serialize_s: Optional[float] = None
-        inflight_s: Optional[float] = None
+        key = result["key"]
+        timing = result.get("timing") or {}
+        attrs: Dict[str, Any] = {
+            "key": key[:12],
+            "backend": self.name,
+            "worker": link.address,
+            "ok": result["ok"],
+            "worker_queue_s": timing.get("queue_s"),
+            "deser_s": timing.get("deser_s"),
+            "exec_s": timing.get("exec_s"),
+            "perf": timing.get("perf"),
+        }
+        meta = link.phase_meta.pop(key, None)
         if meta is not None:
-            queue_by_key, serialize_s, sent_perf = meta
-            inflight_s = now - sent_perf
-        wire_s: Optional[float] = None
-        if inflight_s is not None:
-            last = results[-1].get("timing") or {}
-            busy = sum(
-                last.get(field) or 0.0
-                for field in ("queue_s", "deser_s", "exec_s")
-            )
-            wire_s = max(inflight_s - busy, 0.0) / n
-        for res in results:
-            key = res["key"]
-            timing = res.get("timing") or {}
-            attrs: Dict[str, Any] = {
-                "key": key[:12],
-                "backend": self.name,
-                "worker": link.address,
-                "ok": bool(res.get("ok")),
-                "batch_n": n,
-                "worker_queue_s": timing.get("queue_s"),
-                "deser_s": timing.get("deser_s"),
-                "exec_s": timing.get("exec_s"),
-                "perf": timing.get("perf"),
-            }
-            if key in queue_by_key:
-                attrs["queue_s"] = round(queue_by_key[key], 6)
-            if serialize_s is not None:
-                attrs["serialize_s"] = round(serialize_s / n, 6)
-            if inflight_s is not None:
-                attrs["inflight_s"] = round(inflight_s, 6)
-            if wire_s is not None:
-                attrs["wire_s"] = round(wire_s, 6)
-            telemetry.event("job", **attrs)
+            queue_s, serialize_s, sent_perf = meta
+            attrs["queue_s"] = round(queue_s, 6)
+            attrs["serialize_s"] = round(serialize_s, 6)
+            attrs["inflight_s"] = round(time.perf_counter() - sent_perf, 6)
+        telemetry.event("job", **attrs)
 
-    def _jobs_frame(self, batch_id: int, jobs: List[Job],
-                    want_telemetry: bool) -> Dict[str, Any]:
-        """Build one ``jobs`` frame (shared by first send and resends,
-        so a resent batch is byte-for-byte the same work order)."""
+    def _job_frame(self, job: Job, want_telemetry: bool) -> Dict[str, Any]:
+        """Build one ``job`` frame (shared by first send and resends, so
+        a resent job is byte-for-byte the same work order)."""
         frame: Dict[str, Any] = {
-            "type": "jobs",
-            "batch": batch_id,
-            "jobs": [{"key": key, "spec": spec.to_dict()}
-                     for key, spec in jobs],
+            "type": "job",
+            "key": job[0],
+            "spec": job[1].to_dict(),
             # Wall clock on purpose: the driver and worker do not share
             # a monotonic epoch, so cross-host diagnostics need civil
             # time.  Never used for elapsed math on either side.
@@ -1130,72 +1019,54 @@ class SocketBackend(Backend):
     def _fill_window(
         self,
         link: _WorkerLink,
-        inflight: Dict[int, List[Any]],
+        inflight: Dict[str, List[Any]],
         telemetry: Telemetry,
         occupancy: Optional[_Occupancy],
     ) -> None:
-        """Top up the in-flight window with batches; block only when idle.
-
-        Each iteration gathers up to ``self.batch`` queued jobs into one
-        ``jobs`` frame -- blocking only when nothing at all is in flight
-        or gathered, so a slow producer degrades to smaller batches
-        instead of stalling the pipeline -- and sends it as one frame
-        (one fault-injection unit: a dropped frame loses, and later
-        requeues, the whole batch).
-        """
-        while not link.finishing and len(inflight) < link.window:
-            gathered: List[Any] = []
-            while len(gathered) < self.batch:
-                try:
-                    item = link.jobs.get(
-                        block=not inflight and not gathered
-                    )
-                except queue.Empty:
-                    break
-                if item is _DONE:
-                    link.finishing = True
-                    break
-                gathered.append(item)
-            if not gathered:
+        """Top up the in-flight window, one ``job`` frame per queued
+        scenario; block on the queue only when nothing is in flight."""
+        while not link.finishing and len(inflight) < self.window:
+            try:
+                item = link.jobs.get(block=not inflight)
+            except queue.Empty:
                 return
-            jobs: List[Job] = [(key, spec) for key, spec, _ in gathered]
+            if item is _DONE:
+                link.finishing = True
+                return
+            key, spec, enqueued_at = item
+            job: Job = (key, spec)
             if occupancy is not None:
-                occupancy.change(+len(jobs))
-            batch_id = next(link.batch_ids)
+                occupancy.change(+1)
             serialize_start = time.perf_counter()
-            frame = self._jobs_frame(batch_id, jobs, telemetry.enabled)
+            frame = self._job_frame(job, telemetry.enabled)
             try:
                 send_frame(link.sock, frame)
             except OSError as exc:
                 # Count it as lost in-flight work for the death report.
-                inflight[batch_id] = [jobs, time.perf_counter(), 0]
+                inflight[key] = [job, time.perf_counter(), 0]
                 raise _WorkerDied(str(exc)) from exc
+            sent_perf = time.perf_counter()
             if telemetry.enabled:
-                sent_perf = time.perf_counter()
-                link.phase_meta[batch_id] = (
-                    {key: serialize_start - enqueued_at
-                     for key, _, enqueued_at in gathered},
+                link.phase_meta[key] = (
+                    serialize_start - enqueued_at,
                     sent_perf - serialize_start,
                     sent_perf,
                 )
-            inflight[batch_id] = [jobs, time.perf_counter(), 0]
-            link.inflight_jobs += len(jobs)
-            metrics.inc_gauge("socket.inflight", len(jobs))
-            metrics.set_gauge("socket.window", link.window)
+            inflight[key] = [job, sent_perf, 0]
+            link.inflight_jobs += 1
+            metrics.inc_gauge("socket.inflight", 1)
 
     def _await_frame(self, link: _WorkerLink,
-                     inflight: Dict[int, List[Any]]) -> Dict[str, Any]:
+                     inflight: Dict[str, List[Any]]) -> Dict[str, Any]:
         """One frame from the worker, with ping-based liveness checking.
 
         Reads go through the link's :class:`FrameReceiver
         <repro.runtime.backends.wire.FrameReceiver>`, so a timeout that
         lands mid-frame keeps the partial bytes buffered -- the follow-up
         read after the ping resumes the same frame instead of desyncing.
-        A worker that answers the ping but has starved a batch past
-        ``job_timeout`` gets the batch resent: connection-level liveness
-        cannot see a dropped frame, only per-batch accounting can.  In
-        adaptive mode the heartbeat firing at all is the pressure signal
-        that halves the window back toward its floor.
+        A worker that answers the ping but has starved a job past
+        ``job_timeout`` gets the job resent: connection-level liveness
+        cannot see a dropped frame, only per-job accounting can.
         """
         link.sock.settimeout(self.job_timeout)
         try:
@@ -1203,10 +1074,6 @@ class SocketBackend(Backend):
         except socket.timeout:
             doc = self._ping(link)
             if doc is not None:
-                if self.adaptive_window and link.window > self.window:
-                    link.window = max(self.window, link.window // 2)
-                    current().event("socket.window", worker=link.address,
-                                    window=link.window, reason="pressure")
                 self._resend_stale(link, inflight)
         except (WireError, OSError) as exc:
             raise _WorkerDied(str(exc)) from exc
@@ -1214,49 +1081,28 @@ class SocketBackend(Backend):
             raise _WorkerDied("connection closed")
         return doc
 
-    def _adapt_window(self, link: _WorkerLink,
-                      results: List[Dict[str, Any]],
-                      telemetry: Telemetry) -> None:
-        """Widen the pipeline window while the worker is starving.
-
-        The first entry of a batch reports ``queue_s`` measured from the
-        batch's arrival to its first execution -- near zero means the
-        worker's inbound queue was empty when this batch landed, i.e.
-        the worker finished everything before the driver refilled it.
-        Widen only when more work is actually queued (an empty local
-        queue makes a wider window meaningless) and below the cap.
-        """
-        first = (results[0].get("timing") or {}).get("queue_s")
-        if first is None or first > self.ADAPTIVE_STARVED_S:
-            return
-        if link.window < self.MAX_WINDOW and not link.jobs.empty():
-            link.window += 1
-            telemetry.event("socket.window", worker=link.address,
-                            window=link.window, reason="starved")
-
     def _resend_stale(self, link: _WorkerLink,
-                      inflight: Dict[int, List[Any]]) -> None:
-        """Resend batches outstanding past ``job_timeout`` on a live link.
+                      inflight: Dict[str, List[Any]]) -> None:
+        """Resend jobs outstanding past ``job_timeout`` on a live link.
 
-        The worker just proved liveness, so a stale batch means its
-        ``jobs`` frame (or its ``results`` answer) was lost in transit --
-        resend the batch whole under its original id; duplicate results
-        are deduplicated by batch id here and by key in the main loop.
-        A batch lost :data:`MAX_RESENDS` times gives up on the link
-        instead.
+        The worker just proved liveness, so a stale job means its ``job``
+        frame (or its ``result`` answer) was lost in transit -- resend
+        it; a duplicate result is dropped here by key and again in the
+        submit loop.  A job lost :data:`MAX_RESENDS` times gives up on
+        the link instead.
         """
         telemetry = current()
         now = time.perf_counter()
-        for batch_id, entry in inflight.items():
-            jobs, sent_at, resends = entry
+        for key, entry in inflight.items():
+            job, sent_at, resends = entry
             if now - sent_at < self.job_timeout:
                 continue
             if resends >= self.MAX_RESENDS:
                 raise _WorkerDied(
-                    f"batch {batch_id} ({len(jobs)} job(s)) still "
-                    f"outstanding after {resends} resend(s)"
+                    f"job {key[:12]} still outstanding after "
+                    f"{resends} resend(s)"
                 )
-            frame = self._jobs_frame(batch_id, jobs, telemetry.enabled)
+            frame = self._job_frame(job, telemetry.enabled)
             try:
                 send_frame(link.sock, frame)
             except OSError as exc:
@@ -1264,11 +1110,10 @@ class SocketBackend(Backend):
             entry[1] = time.perf_counter()
             entry[2] = resends + 1
             link.resends += 1
-            _log.warning(kv("resend", worker=link.address, batch=batch_id,
-                            jobs=len(jobs), attempt=resends + 1))
+            _log.warning(kv("resend", worker=link.address, key=key[:12],
+                            attempt=resends + 1))
             telemetry.event("socket.resend", worker=link.address,
-                            batch=batch_id, jobs=len(jobs),
-                            attempt=resends + 1)
+                            key=key[:12], attempt=resends + 1)
 
     def _ping(self, link: _WorkerLink) -> Optional[Dict[str, Any]]:
         try:
@@ -1296,125 +1141,63 @@ class SocketBackend(Backend):
 
     # -- isolated local execution (probe + degradation) ----------------
 
-    def _probe_isolated(self, job: Job) -> Optional[Tuple[bool, Dict[str, Any]]]:
-        """Run one poison suspect in a fresh ``spawn`` subprocess.
+    def _probe(self, job: Job, events: "queue.Queue[_Event]") -> None:
+        """Probe-thread body: run one poison suspect isolated and post
+        its outcome for the submit thread to settle."""
+        [(_, outcome)] = self._run_isolated([job])
+        events.put(("probed", None, (job, outcome)))
 
-        Returns the ``(ok, row)`` outcome, or ``None`` if the child
-        crashed or stalled -- the confirmation that the scenario, not the
-        workers it killed, is the problem.  Isolation is the point: an
-        innocent scenario that sat on repeatedly-dying workers produces
-        its real row here and the campaign stays byte-identical to
-        serial.
-        """
-        ctx = multiprocessing.get_context("spawn")
-        receiver, sender = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_isolated_executor, args=(sender, [job]), daemon=True,
-        )
-        proc.start()
-        sender.close()  # child holds the only writer: EOF means it died
-        deadline = time.monotonic() + self.job_timeout + _SPAWN_GRACE_S
-        try:
-            while True:
-                if receiver.poll(0.25):
-                    try:
-                        message = receiver.recv()
-                    except EOFError:
-                        return None
-                    if message[0] == "done":
-                        _, _, _, ok, row = message
-                        return ok, row
-                    continue  # "start" marker
-                if not proc.is_alive():
-                    return None
-                if time.monotonic() >= deadline:
-                    proc.terminate()
-                    return None
-        finally:
-            receiver.close()
-            proc.join(timeout=5.0)
+    def _run_isolated(self, jobs: List[Job]) -> Iterator[_Outcome]:
+        """Execute ``jobs`` in order in one fresh ``spawn`` subprocess.
 
-    def _drain_isolated(
-        self,
-        jobs: List[Job],
-        deaths: Dict[str, Set[str]],
-        telemetry: Telemetry,
-        stats: Dict[str, Any],
-    ) -> Iterator[JobResult]:
-        """Graceful degradation: finish ``jobs`` in local subprocesses.
-
-        One ``spawn`` child executes the list serially and streams rows
-        back over a pipe; if it dies, the job it had started but not
-        finished is the culprit -- charged with one executor death and
-        either retried in a fresh child or (past ``quarantine_after``)
-        quarantined.  Isolation means even a never-dispatched poison job
-        cannot take the driver down with it.
+        Yields ``(key, (ok, row))`` for each job the child finishes.  If
+        the child dies, or makes no progress for ``job_timeout`` plus a
+        spawn grace, it yields ``(key, None)`` for the first job it did
+        not finish -- the culprit -- and stops.  Isolation is the point:
+        a poison job kills only the child, and an innocent job that sat
+        on repeatedly-dying workers produces its real row here.  The
+        runner only reports; callers decide what a crash means.
 
         The channel is a ``Pipe``, not a ``Queue``, deliberately: queue
         puts go through a feeder thread whose buffered items die with an
         ``os._exit``, so results the child *did* produce before hitting a
-        poison job would vanish and the culprit index would drift onto an
+        poison job would vanish and the culprit would drift onto an
         innocent neighbour.  Pipe sends are synchronous writes -- every
         ``start``/``done`` marker received is exact.
         """
         ctx = multiprocessing.get_context("spawn")
-        pending = list(jobs)
-        while pending:
-            receiver, sender = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_isolated_executor, args=(sender, pending),
-                daemon=True,
-            )
-            proc.start()
-            sender.close()
-            done = 0
-            started: Optional[int] = None
-            last_progress = time.monotonic()
-            stall_guard = self.job_timeout + _SPAWN_GRACE_S
-            child_alive = True
-            while done < len(pending):
+        receiver, sender = ctx.Pipe(duplex=False)
+        proc = ctx.Process(
+            target=_isolated_executor, args=(sender, jobs), daemon=True,
+        )
+        proc.start()
+        sender.close()  # child holds the only writer: EOF means it died
+        stall_guard = self.job_timeout + _SPAWN_GRACE_S
+        last_progress = time.monotonic()
+        done = 0
+        try:
+            while done < len(jobs):
                 if receiver.poll(0.25):
                     try:
                         message = receiver.recv()
                     except EOFError:
-                        child_alive = False
                         break
                     last_progress = time.monotonic()
-                    if message[0] == "start":
-                        started = message[1]
-                        continue
-                    _, index, key, ok, row = message
-                    done = index + 1
-                    started = None
-                    yield key, ok, row
-                    continue
+                    if message[0] == "done":
+                        _, index, key, ok, row = message
+                        done = index + 1
+                        yield key, (ok, row)
+                    continue  # a "start" marker only proves progress
                 if not proc.is_alive():
-                    child_alive = False
                     break
                 if time.monotonic() - last_progress >= stall_guard:
                     proc.terminate()
-                    child_alive = False
                     break
+            if done < len(jobs):
+                yield jobs[done][0], None
+        finally:
             receiver.close()
             proc.join(timeout=5.0)
-            if done >= len(pending) and child_alive:
-                return
-            culprit_index = started if started is not None else done
-            culprit = pending[culprit_index]
-            key = culprit[0]
-            executors = deaths.setdefault(key, set())
-            executors.add(f"isolated#{len(executors) + 1}")
-            if len(executors) >= self.quarantine_after:
-                stats["quarantined"] += 1
-                _log.error(kv("quarantined", key=key[:12],
-                              executors=len(executors)))
-                telemetry.event("socket.quarantine", key=key[:12],
-                                executors=sorted(executors))
-                yield key, False, quarantine_row(key, executors)
-                pending = pending[culprit_index + 1:]
-            else:
-                # Innocent until quarantine_after: retry in a fresh child.
-                pending = pending[culprit_index:]
 
 
 def _isolated_executor(conn: Any, jobs: List[Job]) -> None:

@@ -9,7 +9,7 @@ in-flight byte corruption (a fault-injection ``corrupt``, a broken
 middlebox) into a loud :class:`WireError` instead of a silently wrong
 result row -- campaign rows must be a pure function of scenario content,
 so a frame that cannot prove its integrity is refused, never parsed.
-Frames are modest (a batch of scenario specs or result rows), so the cap
+Frames are modest (one scenario spec or one result row), so the cap
 below is generous.
 
 Message vocabulary (the ``type`` field):
@@ -18,42 +18,35 @@ Message vocabulary (the ``type`` field):
 type         direction  meaning
 ===========  =========  ===================================================
 ``hello``    driver →   handshake: ``protocol`` version, driver pid
-``welcome``  → driver   handshake accepted: ``protocol`` version, worker
-                        pid + optional ``shard`` path the worker appends
-                        result rows to (see worker ``--shard``)
+``welcome``  → driver   handshake accepted: ``protocol`` version, worker pid
 ``error``    → driver   handshake refused (e.g. version skew); body says why
-``jobs``     driver →   ``batch`` (driver-scoped id) + ``jobs``, a list of
-                        ``{"key", "spec"}`` entries (scenario hash +
-                        canonical dict) + ``sent_at`` (driver wall clock,
+``job``      driver →   one scenario: ``key`` (scenario hash) + ``spec``
+                        (canonical dict) + ``sent_at`` (driver wall clock,
                         diagnostic) + optional ``telemetry`` flag
                         requesting cache stats
-``results``  → driver   ``batch`` (echoing the ``jobs`` id) + ``results``,
-                        a list of ``{"key", "ok", "row", "timing"}``
-                        entries -- one per job, same order; ``timing`` is
-                        the sidecar (``queue_s``, ``deser_s``, ``exec_s``,
-                        and ``perf`` cache stats when requested).  When
-                        the worker shards, an ok entry carries
-                        ``"sharded": true`` and omits ``row``.  The frame
-                        also carries ``metrics``, the worker's compact
-                        self-report (below).
-``ping``     driver →   liveness probe while a batch is outstanding
+``result``   → driver   the answer to one ``job``: ``key`` + ``ok`` +
+                        ``row`` + ``timing``, the sidecar (``queue_s``,
+                        ``deser_s``, ``exec_s``, and ``perf`` cache stats
+                        when requested), + ``metrics``, the worker's
+                        compact self-report (below)
+``ping``     driver →   liveness probe while a job is outstanding
 ``pong``     → driver   liveness answer (sent even mid-execution); carries
-                        ``metrics`` like ``results``
+                        ``metrics`` like ``result``
 ``bye``      driver →   orderly end of session; worker closes the socket
 ===========  =========  ===================================================
 
-The ``metrics`` field on ``pong``/``results`` frames (wire v6) is the
+The ``metrics`` field on ``pong``/``result`` frames (wire v6) is the
 worker's compact self-report, measured on its own clocks: ``{"queue":
-<executor batches waiting>, "done": <jobs executed>, "exec_s":
+<jobs waiting for the executor>, "done": <jobs executed>, "exec_s":
 <cumulative execute seconds>, "up_s": <seconds since worker start>}``.
 It feeds the driver's live view and per-worker stats; like the
 ``timing`` sidecar it never touches ``row``.
 
-A batch frame is all-or-nothing end to end: framing makes it one
-``sendall`` (so one fault-injection point -- a dropped ``jobs`` frame
-requeues all N jobs), the CRC refuses a corrupted batch whole, and
-:func:`decode_jobs` / :func:`decode_results` refuse a structurally
-malformed batch whole -- a peer never sees half a batch.
+A frame is the unit of every fault: framing makes it one ``sendall``
+(one fault-injection point -- a dropped ``job`` frame costs that one
+scenario a resend), the CRC refuses a corrupted frame whole, and
+:func:`decode_job` / :func:`decode_result` refuse a structurally
+malformed one -- a peer never acts on half a frame.
 
 Timestamps in frames are *diagnostic*: ``sent_at`` is driver wall clock
 (clocks across hosts are not comparable), while the ``timing`` sidecar
@@ -96,7 +89,12 @@ from typing import Any, Dict, Optional
 #: seconds, uptime) -- a v5 worker would silently omit it, blinding the
 #: driver's live view and ``repro stats`` to worker-side health while
 #: appearing to work, so the skew is refused at handshake.
-PROTOCOL_VERSION = 6
+#: v7: back to one scenario per frame -- ``jobs``/``results`` lists
+#: became single ``job``/``result`` frames keyed by scenario hash, and
+#: ``welcome`` no longer advertises a result shard -- a v6 peer would
+#: ignore the other side's frames and hang until ``job_timeout``, so the
+#: skew is refused at handshake.
+PROTOCOL_VERSION = 7
 
 #: Frame header: 4-byte body length + 4-byte CRC32 of the body, both
 #: unsigned big-endian.
@@ -234,46 +232,31 @@ def _recv_exact(
     return b"".join(chunks)
 
 
-def decode_jobs(doc: Dict[str, Any]) -> list:
-    """Validate a ``jobs`` frame; return its entry list.
+def decode_job(doc: Dict[str, Any]) -> Dict[str, Any]:
+    """Validate a ``job`` frame (``key`` string, ``spec`` object); return it.
 
-    Refuses the batch whole: a single malformed entry (missing ``key``,
-    non-dict ``spec``, empty batch) is a :class:`WireError`, never a
-    partially accepted batch -- the driver's requeue logic assumes a
-    batch either executes entirely or not at all.
+    A malformed frame is a :class:`WireError`, so the worker drops the
+    session before executing anything and the driver requeues the job.
     """
-    entries = doc.get("jobs")
-    if not isinstance(entries, list) or not entries:
-        raise WireError("jobs frame carries no job list")
-    for entry in entries:
-        if (
-            not isinstance(entry, dict)
-            or not isinstance(entry.get("key"), str)
-            or not isinstance(entry.get("spec"), dict)
-        ):
-            raise WireError("jobs frame entry is not {key, spec}")
-    return entries
+    if not isinstance(doc.get("key"), str) or not isinstance(doc.get("spec"), dict):
+        raise WireError("job frame is not {key, spec}")
+    return doc
 
 
-def decode_results(doc: Dict[str, Any]) -> list:
-    """Validate a ``results`` frame; return its entry list.
+def decode_result(doc: Dict[str, Any]) -> Dict[str, Any]:
+    """Validate a ``result`` frame (``key`` string, ``ok`` bool, ``row``
+    object); return it.
 
-    Same all-or-nothing contract as :func:`decode_jobs`: one bad entry
-    refuses the whole frame, so the driver never records half a batch.
+    Same contract as :func:`decode_job`: the driver never records a
+    result it cannot read whole, it declares the link dead instead.
     """
-    entries = doc.get("results")
-    if not isinstance(entries, list) or not entries:
-        raise WireError("results frame carries no result list")
-    for entry in entries:
-        if (
-            not isinstance(entry, dict)
-            or not isinstance(entry.get("key"), str)
-            or not isinstance(entry.get("ok"), bool)
-        ):
-            raise WireError("results frame entry is not {key, ok, ...}")
-        if not entry.get("sharded") and not isinstance(entry.get("row"), dict):
-            raise WireError("results frame entry has no row and no shard")
-    return entries
+    if (
+        not isinstance(doc.get("key"), str)
+        or not isinstance(doc.get("ok"), bool)
+        or not isinstance(doc.get("row"), dict)
+    ):
+        raise WireError("result frame is not {key, ok, row}")
+    return doc
 
 
 def parse_address(text: str) -> tuple:

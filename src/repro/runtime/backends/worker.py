@@ -9,29 +9,23 @@ Each accepted connection gets two threads:
 
 * a *reader* that owns ``recv`` -- it answers ``ping`` frames immediately
   (even while a scenario is executing, which is what makes the driver's
-  heartbeat meaningful) and feeds ``jobs`` batch frames to
-* an *executor* that unbatches each frame, runs its scenarios strictly
-  in order, and answers with one ``results`` frame per batch under a
-  send lock.
+  heartbeat meaningful) and feeds ``job`` frames to
+* an *executor* that runs them strictly in arrival order and answers
+  each with one ``result`` frame under a send lock.
 
-Result shards: ``--shard PATH`` makes the worker append every ok row to
-a local JSONL shard (same line format as :class:`~repro.runtime.store.
-ResultStore`, advertised to the driver in the ``welcome`` frame) and
-send back row-less ``{"sharded": true}`` result entries.  The driver
-reconciles shards through the store-merge path at the end of the
-campaign; ``schema: 1`` rows plus hash-keyed dedup make re-executed
-duplicates harmless.  Shards assume driver and worker share a
-filesystem; each worker needs its own shard path.
+The server owns every thread and session socket it creates:
+:meth:`WorkerServer.stop` shuts each open session down and joins the
+accept, reader and executor threads before it returns.
 
 Failure injection: ``die_after_jobs=N`` makes the worker drop the
-connection -- and stop serving -- the moment an accepted batch would
-carry it past ``N`` jobs, without replying (so the driver requeues the
-whole batch).  Tests and the CI ``backend-smoke`` job
-use it to prove that campaigns survive a worker dying mid-run.  For
-probabilistic faults, ``chaos=ChaosPolicy(...)`` (CLI ``--chaos SPEC``)
-wraps each accepted connection in a :class:`~repro.runtime.backends.chaos.
-ChaosSocket` that perturbs worker-to-driver frames -- armed only after
-the handshake, so session establishment stays deterministic.
+connection -- and stop serving -- the moment it receives job frame
+``N + 1``, without replying (so the driver requeues everything in
+flight).  Tests and the CI ``backend-smoke`` job use it to prove that
+campaigns survive a worker dying mid-run.  For probabilistic faults,
+``chaos=ChaosPolicy(...)`` (CLI ``--chaos SPEC``) wraps each accepted
+connection in a :class:`~repro.runtime.backends.chaos.ChaosSocket` that
+perturbs worker-to-driver frames -- armed only after the handshake, so
+session establishment stays deterministic.
 """
 
 from __future__ import annotations
@@ -41,7 +35,7 @@ import queue
 import socket
 import threading
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ...analysis.watchdog import traced_lock
 from ...obs.logsetup import configure_logging, kv
@@ -51,7 +45,7 @@ from .chaos import ChaosPolicy, ChaosSocket
 from .wire import (
     PROTOCOL_VERSION,
     WireError,
-    decode_jobs,
+    decode_job,
     recv_frame,
     send_frame,
 )
@@ -69,15 +63,10 @@ class WorkerServer:
     Args:
         host: interface to bind (default loopback).
         port: port to bind; ``0`` picks a free port (see :attr:`port`).
-        die_after_jobs: failure injection -- accept this many jobs, then
-            drop dead (``None`` disables).  Counted per job, not per
-            frame: a batch that would cross the limit dies unanswered.
+        die_after_jobs: failure injection -- accept this many job
+            frames, then drop dead without replying (``None`` disables).
         chaos: optional :class:`ChaosPolicy` applied to every accepted
             connection's outbound frames (armed post-handshake).
-        shard: optional path of a local JSONL result shard; ok rows are
-            appended there (and advertised in ``welcome``) instead of
-            riding the ``results`` frame.  Error rows always ride the
-            wire -- shards hold only storable rows.
         log: optional ``print``-like callable for one-line status output.
     """
 
@@ -86,20 +75,22 @@ class WorkerServer:
     #: hung driver) is dropped instead of pinning a thread and fd.
     HANDSHAKE_TIMEOUT = 30.0
 
+    #: Seconds :meth:`stop` waits, in total, for the threads it joins
+    #: (an executor that is mid-scenario finishes that scenario first).
+    STOP_TIMEOUT = 10.0
+
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 0,
         die_after_jobs: Optional[int] = None,
         chaos: Optional[ChaosPolicy] = None,
-        shard: Optional[str] = None,
         log: Optional[Any] = None,
     ) -> None:
         self.host = host
         self.port = port
         self.die_after_jobs = die_after_jobs
         self.chaos = chaos
-        self.shard_path = shard
         self.log = log or (lambda *_: None)
         self.jobs_done = 0
         self.sessions = 0
@@ -113,42 +104,36 @@ class WorkerServer:
         self._accept_thread: Optional[threading.Thread] = None
         self._stopping = threading.Event()
         # Watchdog-instrumented (repro lint C-series): job/death
-        # accounting, shard writes, and per-connection sends are the
-        # worker's three lock domains; none may nest inside another.
+        # accounting plus the thread and session registries, and the
+        # per-connection sends, are the worker's two lock domains;
+        # neither may nest inside the other.
         self._lock = traced_lock("WorkerServer._lock")
-        self._shard = None  # ResultStore, opened in start()
-        self._shard_lock = traced_lock("WorkerServer._shard_lock")
+        #: Every thread this server started (accept, reader, executor);
+        #: :meth:`stop` joins them.
+        self._threads: List[threading.Thread] = []
+        #: Open sessions: accepted socket -> its executor's job queue.
+        self._sessions: Dict[socket.socket, "queue.Queue[Any]"] = {}
 
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> Tuple[str, int]:
         """Bind, listen, and accept in a background thread (for tests and
         embedded use); returns the bound ``(host, port)``."""
-        if self.shard_path is not None and self._shard is None:
-            # Open before listening: a bad shard path must refuse the
-            # worker at start, not lose rows mid-campaign.
-            from ..store import ResultStore
-
-            self._shard = ResultStore.open_shard(self.shard_path)
-            self.shard_path = str(self._shard.path)
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.host, self.port))
         listener.listen(8)
         self.port = listener.getsockname()[1]
         self._listener = listener
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"worker-accept:{self.port}",
-            daemon=True,
+        self._accept_thread = self._spawn(
+            self._accept_loop, (), f"worker-accept:{self.port}"
         )
-        self._accept_thread.start()
         # Stdout contract: benchmarks and CI parse this exact line for
         # the bound address, so it stays a plain print-style message.
         self.log(f"worker listening on {self.host}:{self.port}")
         _log.info(kv("serving", host=self.host, port=self.port,
                      protocol=PROTOCOL_VERSION,
                      die_after_jobs=self.die_after_jobs,
-                     shard=self.shard_path,
                      chaos=self.chaos.describe() if self.chaos else None))
         return self.host, self.port
 
@@ -159,18 +144,35 @@ class WorkerServer:
         self._stopping.wait()
 
     def stop(self) -> None:
-        """Stop accepting and wake :meth:`serve_forever`."""
+        """Stop serving and reclaim everything :meth:`start` created.
+
+        Closes the listener, shuts every open session socket down (which
+        wakes its reader out of ``recv``), tells every executor to drop
+        its queued jobs, and joins each thread this server started, all
+        within :attr:`STOP_TIMEOUT`.  Safe to call from one of those
+        threads -- ``die_after_jobs`` does -- which skips joining itself.
+        """
         self._stopping.set()
+        deadline = time.monotonic() + self.STOP_TIMEOUT
         listener, self._listener = self._listener, None
         if listener is not None:
-            try:
-                listener.close()
-            except OSError:
-                pass
-        shard, self._shard = self._shard, None
-        if shard is not None:
-            with self._shard_lock:
-                shard.close()
+            _shutdown(listener)  # wakes the accept thread out of accept(2)
+            listener.close()
+        me = threading.current_thread()
+        accept = self._accept_thread
+        if accept is not None and accept is not me:
+            # Accept first: once it has exited no new session can start,
+            # so the snapshot below is final.
+            accept.join(max(0.0, deadline - time.monotonic()))
+        with self._lock:
+            sessions = list(self._sessions.items())
+            threads = list(self._threads)
+        for conn, jobs in sessions:
+            _shutdown(conn)
+            jobs.put(None)
+        for thread in threads:
+            if thread is not me:
+                thread.join(max(0.0, deadline - time.monotonic()))
 
     @property
     def address(self) -> str:
@@ -184,6 +186,18 @@ class WorkerServer:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.stop()
+
+    def _spawn(self, target: Callable[..., None], args: Tuple[Any, ...],
+               name: str) -> threading.Thread:
+        """Start a daemon thread owned by this server (joined by
+        :meth:`stop`); finished threads are pruned from the registry."""
+        thread = threading.Thread(target=target, args=args, name=name,
+                                  daemon=True)
+        with self._lock:
+            self._threads = [t for t in self._threads if t.is_alive()]
+            self._threads.append(thread)
+        thread.start()
+        return thread
 
     # -- serving -------------------------------------------------------
 
@@ -204,23 +218,30 @@ class WorkerServer:
                 self._stopping.wait(0.05)
                 continue
             if self._stopping.is_set():
-                # stop() closed the listener, but this thread was blocked
-                # in accept(2) holding a kernel reference to it, so the
-                # port kept accepting -- a driver redialing a worker that
-                # just injected its death could otherwise get a fresh
-                # session from the "corpse".  Refuse and shut down.
+                # A connection that raced stop(): refuse it, so a driver
+                # redialing a worker that just injected its death cannot
+                # get a fresh session from the "corpse".
                 try:
                     conn.close()
                 except OSError:
                     pass
                 return
             self.sessions += 1
-            threading.Thread(
-                target=self._serve_connection, args=(conn, peer),
-                name=f"worker-conn:{peer}", daemon=True,
-            ).start()
+            self._spawn(self._serve_connection, (conn, peer),
+                        f"worker-conn:{peer}")
 
     def _serve_connection(self, conn: socket.socket, peer: Any) -> None:
+        jobs: "queue.Queue[Optional[Dict[str, Any]]]" = queue.Queue()
+        with self._lock:
+            # Registered under the lock that stop() snapshots under: a
+            # session either gets shut down by stop() or sees it here.
+            refused = self._stopping.is_set()
+            if not refused:
+                self._sessions[conn] = jobs
+        if refused:
+            conn.close()
+            return
+        registered = conn  # the registry key; conn may become a wrapper
         _enable_keepalive(conn)
         peer_name = f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) else str(peer)
         if self.chaos is not None:
@@ -233,12 +254,8 @@ class WorkerServer:
         session_jobs = 0
         _log.info(kv("accept", peer=peer_name, session=self.sessions))
         send_lock = traced_lock("WorkerServer.send_lock")
-        jobs: "queue.Queue[Optional[Dict[str, Any]]]" = queue.Queue()
-        executor = threading.Thread(
-            target=self._execute_loop, args=(conn, send_lock, jobs),
-            name=f"worker-exec:{peer}", daemon=True,
-        )
-        executor.start()
+        self._spawn(self._execute_loop, (conn, send_lock, jobs),
+                    f"worker-exec:{peer}")
         try:
             conn.settimeout(self.HANDSHAKE_TIMEOUT)
             if not self._handshake(conn, send_lock, peer_name):
@@ -260,11 +277,11 @@ class WorkerServer:
                             "type": "pong",
                             "metrics": self.metrics_snapshot(jobs),
                         })
-                elif doc["type"] == "jobs":
-                    # All-or-nothing: a malformed batch is a WireError
-                    # that drops the session before any entry executes.
-                    entries = decode_jobs(doc)
-                    if self._should_die(len(entries)):
+                elif doc["type"] == "job":
+                    # A malformed job is a WireError that drops the
+                    # session before anything executes.
+                    decode_job(doc)
+                    if self._should_die():
                         self.log(f"worker {self.address}: injected death")
                         _log.warning(kv("die-after-jobs", peer=peer_name,
                                         jobs_seen=self._jobs_seen,
@@ -272,15 +289,17 @@ class WorkerServer:
                         self.stop()
                         return  # finally: abrupt close, no reply
                     # Arrival stamp: the executor subtracts it to report
-                    # worker-side queue wait in each timing sidecar.
+                    # worker-side queue wait in the timing sidecar.
                     doc["_recv_perf"] = time.perf_counter()
-                    session_jobs += len(entries)
+                    session_jobs += 1
                     jobs.put(doc)
                 # unknown types are ignored (forward compatibility)
         except (WireError, OSError):
             pass  # peer vanished or spoke garbage: drop the session
         finally:
             jobs.put(None)
+            with self._lock:
+                self._sessions.pop(registered, None)
             injected = conn.counts if isinstance(conn, ChaosSocket) else None
             _log.info(kv("disconnect", peer=peer_name, jobs=session_jobs,
                          dur_s=round(time.perf_counter() - session_start, 6),
@@ -316,9 +335,6 @@ class WorkerServer:
                 "type": "welcome",
                 "protocol": PROTOCOL_VERSION,
                 "worker_pid": os.getpid(),
-                # Advertised so the driver knows where to reconcile
-                # row-less {"sharded": true} result entries from.
-                "shard": self.shard_path,
             })
         _log.info(kv("handshake", peer=peer_name,
                      driver_pid=doc.get("driver_pid"),
@@ -329,14 +345,14 @@ class WorkerServer:
         self, jobs: "Optional[queue.Queue]" = None
     ) -> Dict[str, Any]:
         """The compact worker-metrics snapshot piggybacked on ``pong``
-        and ``results`` frames (wire v6).
+        and ``result`` frames (wire v6).
 
-        Keys: ``queue`` (inbound batches waiting in this session's
-        executor queue), ``done`` (jobs executed, all sessions),
-        ``exec_s`` (cumulative execute seconds), ``up_s`` (seconds since
-        the worker process started) -- enough for the driver to derive
-        queue depth and exec rate without another round trip.  Measured
-        on the worker's own clocks; never touches result rows.
+        Keys: ``queue`` (jobs waiting in this session's executor queue),
+        ``done`` (jobs executed, all sessions), ``exec_s`` (cumulative
+        execute seconds), ``up_s`` (seconds since the worker process
+        started) -- enough for the driver to derive queue depth and exec
+        rate without another round trip.  Measured on the worker's own
+        clocks; never touches result rows.
         """
         return {
             "queue": jobs.qsize() if jobs is not None else 0,
@@ -345,14 +361,11 @@ class WorkerServer:
             "up_s": round(time.perf_counter() - self._started, 6),
         }
 
-    def _should_die(self, batch_size: int = 1) -> bool:
+    def _should_die(self) -> bool:
         if self.die_after_jobs is None:
             return False
         with self._lock:
-            # Per-job accounting: a batch that would carry the worker
-            # past the limit dies whole -- the driver sees one dead
-            # connection and requeues all N, never a half-answered batch.
-            self._jobs_seen += batch_size
+            self._jobs_seen += 1
             return self._jobs_seen > self.die_after_jobs
 
     def _execute_loop(
@@ -363,65 +376,43 @@ class WorkerServer:
     ) -> None:
         while True:
             doc = jobs.get()
-            if doc is None:
+            if doc is None or self._stopping.is_set():
                 return
-            received = doc.pop("_recv_perf", time.perf_counter())
-            telemetry = bool(doc.get("telemetry"))
-            results = []
-            for entry in doc["jobs"]:
-                # Strictly in order: a job late in the batch reports the
-                # wait behind its batch-mates as worker-side queue_s, and
-                # a poison job kills the process at its position leaving
-                # the whole batch unanswered (driver requeues all N).
-                started = time.perf_counter()
-                key, ok, row, timing = self._run_job(entry, telemetry)
-                timing["queue_s"] = round(started - received, 6)
-                self.jobs_done += 1
-                self.exec_seconds += float(timing.get("exec_s") or 0.0)
-                result: Dict[str, Any] = {"key": key, "ok": ok,
-                                          "timing": timing}
-                if ok and self._shard is not None:
-                    # Durable before acknowledged: the row hits the shard
-                    # (synced append) before the driver can ever see the
-                    # row-less entry that points at it.
-                    with self._shard_lock:
-                        self._shard.put(key, row)
-                    result["sharded"] = True
-                else:
-                    # Error rows always ride the wire; shards hold only
-                    # storable rows.
-                    result["row"] = row
-                results.append(result)
+            # Strictly in arrival order: a job reports the wait behind
+            # the jobs ahead of it as worker-side queue_s.
+            started = time.perf_counter()
+            key, ok, row, timing = self._run_job(doc, bool(doc.get("telemetry")))
+            timing["queue_s"] = round(started - doc["_recv_perf"], 6)
+            self.jobs_done += 1
+            self.exec_seconds += float(timing.get("exec_s") or 0.0)
             try:
-                # Wire v6: the results frame carries a metrics snapshot
+                # Wire v6: the result frame carries a metrics snapshot
                 # too, so a busy pipeline (which rarely times out into
                 # the heartbeat path) still feeds the live view.
                 with send_lock:
-                    send_frame(
-                        conn,
-                        {"type": "results", "batch": doc.get("batch"),
-                         "results": results,
-                         "metrics": self.metrics_snapshot(jobs)},
-                    )
+                    send_frame(conn, {
+                        "type": "result", "key": key, "ok": ok, "row": row,
+                        "timing": timing,
+                        "metrics": self.metrics_snapshot(jobs),
+                    })
             except OSError:
                 return  # driver went away; nothing to report to
 
     def _run_job(
-        self, entry: Dict[str, Any], telemetry: bool
+        self, doc: Dict[str, Any], telemetry: bool
     ) -> Tuple[str, bool, Dict[str, Any], Dict[str, Any]]:
-        """Rebuild one batch entry's spec, cross-check its hash, execute.
+        """Rebuild one job frame's spec, cross-check its hash, execute.
 
-        Returns the result triple plus the timing sidecar for its slot
-        in the ``results`` frame: ``deser_s`` (spec rebuild + hash
-        check) and ``exec_s`` always, ``perf`` cache stats when the
-        batch carried the ``telemetry`` flag.  The sidecar never touches
-        the row itself.
+        Returns the result triple plus the timing sidecar for the
+        ``result`` frame: ``deser_s`` (spec rebuild + hash check) and
+        ``exec_s`` always, ``perf`` cache stats when the job carried the
+        ``telemetry`` flag.  The sidecar never touches the row itself.
         """
-        key = entry.get("key")
+        key = doc["key"]
         timing: Dict[str, Any] = {}
         deser_start = time.perf_counter()
         try:
-            spec = ScenarioSpec.from_dict(entry["spec"])
+            spec = ScenarioSpec.from_dict(doc["spec"])
         except Exception as exc:  # noqa: BLE001 - reported to the driver
             return (key, False,
                     {"error": f"bad spec: {type(exc).__name__}: {exc}"},
@@ -448,8 +439,7 @@ class WorkerServer:
 
 def serve(address: str, die_after_jobs: Optional[int] = None,
           log_level: str = "info",
-          chaos: Optional[ChaosPolicy] = None,
-          shard: Optional[str] = None) -> int:
+          chaos: Optional[ChaosPolicy] = None) -> int:
     """CLI entry: serve on ``HOST:PORT`` until interrupted (or dead).
 
     Structured log lines (accept/handshake/disconnect/die-after-jobs) go
@@ -462,11 +452,12 @@ def serve(address: str, die_after_jobs: Optional[int] = None,
     host, port = parse_address(address)
     server = WorkerServer(host=host, port=port,
                           die_after_jobs=die_after_jobs, chaos=chaos,
-                          shard=shard, log=_log_flush)
+                          log=_log_flush)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
-        server.stop()
+        pass
+    server.stop()
     _log.info(kv("stopped", host=host, port=server.port,
                  jobs_done=server.jobs_done, sessions=server.sessions))
     return 0
@@ -499,3 +490,12 @@ def _enable_keepalive(conn: socket.socket) -> None:
                 conn.setsockopt(socket.IPPROTO_TCP, option, value)
     except OSError:
         pass  # keepalive is a hardening measure, never worth a refusal
+
+
+def _shutdown(sock: socket.socket) -> None:
+    """``shutdown(SHUT_RDWR)``, ignoring a socket that is already gone:
+    wakes any thread blocked in ``accept``/``recv`` on it (Linux)."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass

@@ -54,10 +54,6 @@ class CampaignStats:
     #: (structured rows carrying a ``quarantine`` block; see
     #: :func:`repro.runtime.backends.base.quarantine_row`).
     quarantined: int = 0
-    #: Subset of ``executed`` whose rows arrived through worker-side
-    #: result shards (reconciled via the store-merge path) rather than
-    #: the wire; 0 on non-sharding backends.
-    sharded: int = 0
 
 
 @dataclass
@@ -257,10 +253,6 @@ class CampaignRunner:
                                 stats.quarantined += 1
                                 metrics.inc("campaign.quarantined")
                 finally:
-                    backend_stats = getattr(backend, "last_stats", None)
-                    if isinstance(backend_stats, dict):
-                        stats.sharded = int(backend_stats.get("sharded", 0))
-                        metrics.set_gauge("campaign.sharded", stats.sharded)
                     if reporter is not None:
                         reporter.stop()
                 if self.store is not None:
@@ -278,7 +270,6 @@ class CampaignRunner:
                         failed=stats.failed,
                         deduplicated=stats.deduplicated,
                         quarantined=stats.quarantined,
-                        sharded=stats.sharded,
                         backend=backend.name)
 
         rows = [results[key] for key, _ in keyed]

@@ -70,26 +70,6 @@ class ResultStore:
         if load:
             self._load()
 
-    @classmethod
-    def open_shard(cls, path: Union[str, Path]) -> "ResultStore":
-        """Open a worker-side result shard.
-
-        A shard is an ordinary store file -- same ``{"key", "row"}`` line
-        format, same ``schema: 1`` rows, same torn-tail recovery -- that
-        one TCP worker appends to locally and the campaign driver later
-        reconciles through :meth:`merge_from` (or the ``store merge``
-        CLI).  Hash-keyed last-write-wins dedup is what makes that safe:
-        a batch re-executed after a requeue or a chaos-dropped ``results``
-        frame appends an identical row that merges to a no-op.  The path
-        is resolved to absolute because it travels to the driver in the
-        ``welcome`` frame, whose reader must not depend on the worker's
-        working directory.  No writer lock is taken: a shard is
-        single-writer by construction (one path per worker).
-        """
-        store = cls(Path(path).absolute())
-        store._append_handle()  # create eagerly: fail at open, not mid-run
-        return store
-
     def reload(self) -> None:
         """Re-read the file, picking up rows other processes appended
         since this instance loaded.

@@ -9,8 +9,10 @@ content hash.
 """
 
 import json
+import logging
 import os
 import socket as socket_module
+import threading
 import zlib
 
 import pytest
@@ -34,6 +36,7 @@ from repro.runtime.backends import base as backends_base
 from repro.runtime.backends import socketbackend as socketbackend_module
 from repro.runtime.backends.socketbackend import _shard
 from repro.runtime.backends.wire import (
+    PROTOCOL_VERSION,
     FrameReceiver,
     WireError,
     parse_address,
@@ -246,7 +249,7 @@ class TestSpecWireRoundTrip:
 
 class TestBackendEquivalence:
     """Requeue/death/error equivalence paths.  The full byte-identity
-    matrix (backends x batch sizes x chaos modes) lives in
+    matrix (backends x pipeline windows x chaos modes) lives in
     ``test_equivalence_matrix.py``."""
 
     def test_worker_death_mid_campaign_requeues_and_matches(self):
@@ -422,6 +425,41 @@ class TestSocketBackendSetup:
             sock.close()
             server.stop()
 
+    def test_v6_hello_is_refused_at_handshake(self, worker_pair):
+        # Wire v7 replaced every job/result frame: a v6 driver must be
+        # turned away at hello, before it can send a single job.
+        host, port = parse_address(worker_pair[0].address)
+        with socket_module.create_connection((host, port), timeout=5.0) as sock:
+            send_frame(sock, {"type": "hello", "protocol": 6,
+                              "driver_pid": os.getpid()})
+            doc = recv_frame(sock)
+            assert recv_frame(sock) is None  # and the session is closed
+        assert doc["type"] == "error"
+        assert "version mismatch" in doc["reason"]
+
+    def test_stop_joins_every_thread_of_an_open_session(self, caplog):
+        # A driver that handshakes and then goes quiet (no bye) leaves
+        # the session's reader blocked in recv: stop() must shut the
+        # session down and join every thread the server started.
+        before = set(threading.enumerate())
+        with caplog.at_level(logging.INFO, logger="repro.worker"):
+            server = WorkerServer()
+            server.start()
+            sock = socket_module.create_connection(("127.0.0.1", server.port))
+            try:
+                send_frame(sock, {"type": "hello", "protocol": PROTOCOL_VERSION,
+                                  "driver_pid": os.getpid()})
+                assert recv_frame(sock)["type"] == "welcome"
+                server.stop()
+                leftover = [
+                    thread.name for thread in threading.enumerate()
+                    if thread not in before and thread.name.startswith("worker-")
+                ]
+            finally:
+                sock.close()
+        assert leftover == []
+        assert "disconnect peer=" in caplog.text
+
     def test_transient_accept_error_does_not_deafen_the_worker(self):
         # ECONNABORTED from accept(2) (peer reset between SYN and accept)
         # must not exit the accept loop: the worker has to keep serving.
@@ -439,6 +477,9 @@ class TestSocketBackendSetup:
                         self.tripped = True
                         raise OSError(103, "Software caused connection abort")
                     return real.accept()
+
+                def shutdown(self, how):
+                    real.shutdown(how)
 
                 def close(self):
                     real.close()

@@ -26,7 +26,6 @@ import pytest
 from repro.runtime import (
     BackendError,
     ChaosPolicy,
-    ResultStore,
     ScenarioGrid,
     ScenarioSpec,
     SerialBackend,
@@ -224,7 +223,7 @@ class TestChaosSocket:
 
 
 # Row byte-identity under injected faults (both chaos points, every
-# batch size) lives in ``test_equivalence_matrix.py``.
+# pipeline window) lives in ``test_equivalence_matrix.py``.
 
 
 class TestReconnect:
@@ -434,27 +433,26 @@ class TestPoisonQuarantine:
 
 
 class TestBatchedRequeue:
-    """Requeue semantics at batch granularity: a worker dying while it
-    holds a partially-executed batch must cost progress, never results.
+    """Requeue semantics with a full pipeline window: a worker dying
+    while it holds a window of unanswered jobs must cost progress, never
+    results.
 
-    ``die_after_jobs`` kills at frame *accept* (the whole batch dies
-    unanswered before execution starts -- covered by the equivalence
-    matrix); the poison gate kills at the job's *execution position*, so
-    batch-mates ahead of the poison key have already executed (and, when
-    sharding, durably landed on disk) when the process exits.  Either
-    way the driver must requeue all N jobs and every job must land
-    exactly once.
+    ``die_after_jobs`` kills at frame *accept* (covered by the
+    equivalence matrix); the poison gate kills at the job's *execution*,
+    so the jobs ahead of the poison key have already been answered and
+    every job behind it is still in flight when the process exits.  The
+    driver must requeue all of those and every job must land exactly
+    once.  The class and test keep their pre-v7 names, from when the
+    in-flight jobs rode one batch frame.
     """
 
-    def spawn_worker(self, shard=None, env=None):
-        argv = [sys.executable, "-m", "repro", "worker",
-                "--serve", "127.0.0.1:0"]
-        if shard is not None:
-            argv += ["--shard", str(shard)]
+    def spawn_worker(self):
         proc = subprocess.Popen(
-            argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            [sys.executable, "-m", "repro", "worker",
+             "--serve", "127.0.0.1:0"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
             text=True, cwd=str(REPO_ROOT),
-            env={**os.environ, "PYTHONPATH": "src", **(env or {})},
+            env={**os.environ, "PYTHONPATH": "src"},
         )
         line = proc.stdout.readline()
         if "listening on" not in line:
@@ -462,44 +460,28 @@ class TestBatchedRequeue:
             raise RuntimeError(f"worker failed to start: {line!r}")
         return proc, line.rsplit(" ", 1)[-1].strip()
 
-    def run_poisoned_batch_campaign(self, monkeypatch, tmp_path=None):
-        """GRID_12 with one poison key, batch=64 (every worker's whole
-        queue in one frame, poison mid-batch); returns everything the
-        assertions need."""
+    def test_poison_inside_batch_lands_every_job_exactly_once(
+        self, monkeypatch
+    ):
+        # GRID_12 with one poison key and window=64: every worker's whole
+        # share of the grid is in flight at once, poison among it.
         specs = GRID_12.expand()
         poison = specs[4].scenario_hash()
         # Baseline before the env var can reach this process.
         serial = run_campaign(specs, backend=SerialBackend()).rows
         monkeypatch.setenv(POISON_ENV, poison)
-
-        shards = None
-        if tmp_path is not None:
-            shards = [tmp_path / "shard0.jsonl", tmp_path / "shard1.jsonl"]
-        workers = [
-            self.spawn_worker(shard=shards[i] if shards else None)
-            for i in range(2)
-        ]
-        store = (ResultStore(tmp_path / "store.jsonl")
-                 if tmp_path is not None else None)
+        workers = [self.spawn_worker() for _ in range(2)]
         try:
             backend = SocketBackend(
                 [address for _, address in workers],
                 job_timeout=5.0, ping_grace=2.0,
-                backoff=0.05, degrade_after=0.5, batch=64,
+                backoff=0.05, degrade_after=0.5, window=64,
             )
-            result = run_campaign(specs, store=store, backend=backend)
+            result = run_campaign(specs, backend=backend)
         finally:
             for proc, _ in workers:
                 proc.kill()
                 proc.wait()
-        return specs, poison, serial, backend, result, shards, store
-
-    def test_poison_inside_batch_lands_every_job_exactly_once(
-        self, monkeypatch
-    ):
-        specs, poison, serial, backend, result, _, _ = (
-            self.run_poisoned_batch_campaign(monkeypatch)
-        )
         # No losses: every scenario resolved, exactly one as quarantine.
         assert result.stats.executed == len(specs) - 1
         assert result.stats.failed == result.stats.quarantined == 1
@@ -514,55 +496,12 @@ class TestBatchedRequeue:
         clean_serial = [row for row in serial if row["scenario"] != poison]
         assert (sorted_rows_blob(rows_by_key.values())
                 == sorted_rows_blob(clean_serial))
-        # The partially-executed batch was requeued whole...
+        # The jobs in flight behind the poison key were requeued...
         assert backend.last_stats["requeued"] > 0
         assert backend.last_stats["lost"] >= 1
         # ...and re-delivery never double-yielded a key (duplicates are
         # detected and discarded at the driver).
         assert backend.last_stats["quarantined"] == 1
-
-    def test_poison_inside_sharded_batch_dedups_across_shards(
-        self, monkeypatch, tmp_path
-    ):
-        # Batch-mates executed ahead of the poison key hit the shard
-        # *before* the process dies, then the whole unanswered batch is
-        # re-executed elsewhere: the same key can land in two shards (or
-        # a shard plus the driver store).  Rows are pure functions of
-        # specs, so hash-dedup makes every copy identical and the merge
-        # path conflict-free.
-        specs, poison, serial, backend, result, shards, store = (
-            self.run_poisoned_batch_campaign(monkeypatch, tmp_path)
-        )
-        serial_by_key = {row["scenario"]: row for row in serial}
-        assert result.stats.executed == len(specs) - 1
-        assert result.stats.quarantined == 1
-
-        # Every shard row -- including orphans from the dead worker's
-        # partial batch -- is byte-identical to the serial row.
-        shard_rows = 0
-        for shard in shards:
-            if not shard.exists():
-                continue
-            for key in (shard_store := ResultStore(shard)).keys():
-                assert shard_store.get(key) == serial_by_key[key]
-                shard_rows += 1
-        assert shard_rows > 0, "no batch-mate ever reached a shard"
-
-        # The driver store holds exactly the non-poison rows (the
-        # quarantine row is a failure and is never persisted), all
-        # matching serial -- merging the shards in changes nothing.
-        persisted = ResultStore(store.path)
-        assert sorted(persisted.keys()) == sorted(
-            key for key in serial_by_key if key != poison
-        )
-        for key in persisted.keys():
-            assert persisted.get(key) == serial_by_key[key]
-        for shard in shards:
-            if shard.exists():
-                added, _ = persisted.merge_from(ResultStore(shard))
-                assert added == 0  # nothing new, nothing conflicting
-        for key in persisted.keys():
-            assert persisted.get(key) == serial_by_key[key]
 
 
 class TestCalibrationPing:
@@ -592,9 +531,8 @@ class TestCalibrationPing:
         thread.start()
         backend = SocketBackend([address])
         try:
-            sock, rtt, shard = backend._connect(address)
+            sock, rtt = backend._connect(address)
             assert rtt is not None and rtt > 0
-            assert shard is None
             sock.close()
         finally:
             listener.close()

@@ -1,12 +1,11 @@
 """The backend-equivalence matrix: one parametrized byte-identity harness.
 
-Every cell of ``{serial, pool, socket} x batch size {1, 8, 64} x chaos
-{off, driver-side, worker-side}`` must produce rows byte-identical to
-the serial baseline on the 30-scenario ISSUE grid -- including when a
-worker dies holding a partially-executed batch, and when workers write
-rows to local shards instead of returning them over the wire.  Rows are
-pure functions of their scenario specs, so *no* transport, batching,
-fault, or recovery decision is allowed to change a single byte.
+Every cell of ``{serial, pool, socket} x chaos {off, driver-side,
+worker-side}`` must produce rows byte-identical to the serial baseline
+on the 30-scenario grid, at every pipeline depth -- including when
+a worker dies with its whole window in flight.  Rows are pure functions
+of their scenario specs, so *no* transport, pipelining, fault, or
+recovery decision is allowed to change a single byte.
 
 This file supersedes the ad-hoc equivalence tests that used to live in
 ``test_backends.py`` (serial/pool/socket identity, Experiment-front-door
@@ -21,7 +20,6 @@ import pytest
 from repro.api import Experiment
 from repro.runtime import (
     ChaosPolicy,
-    ResultStore,
     ScenarioGrid,
     SerialBackend,
     PoolBackend,
@@ -36,17 +34,17 @@ GRID_30 = ScenarioGrid(
     n=[5, 6, 7], budget=[0, 1, 2, 3, 4], adversary=["silent", "noise"]
 )
 
-#: Batch sizes per wire frame: singleton (v4-equivalent behaviour), a
-#: mid-size batch, and one larger than the whole grid (every worker's
-#: queue drains into a single frame).
-BATCH_SIZES = (1, 8, 64)
+#: Pipeline windows (jobs in flight per worker): no pipelining, a
+#: partial window, and one deeper than any worker's share of the grid
+#: (every job is in flight at once, so a reset or a death hits all of
+#: them).
+WINDOWS = (1, 8, 64)
 
 #: Chaos axis.  ``driver`` injects faults on the driver's sockets (drop
-#: starves batches into the resend path, reset tears links into
-#: reconnect, delay shakes interleaving); ``worker`` corrupts frames the
-#: worker sends back (checksum refuses them, the session drops, the
-#: batch re-runs).  Faults act per frame, so one fault hits a whole
-#: batch -- which is exactly what the matrix must prove harmless.
+#: starves jobs into the resend path, reset tears links into reconnect,
+#: delay shakes interleaving); ``worker`` corrupts frames the worker
+#: sends back (checksum refuses them, the session drops, the in-flight
+#: jobs re-run).
 CHAOS_MODES = ("off", "driver", "worker")
 
 
@@ -75,16 +73,14 @@ def baseline():
     return run_campaign(GRID_30, backend=SerialBackend()).rows
 
 
-def socket_backend(addresses, batch, mode):
+def socket_backend(addresses, window, mode):
     """The matrix's socket backend: resilience timeouts tightened so
-    chaos recovery converges quickly, adaptive window on so the
-    self-tuning path is exercised in every cell."""
+    chaos recovery converges quickly."""
     return SocketBackend(
         addresses,
         job_timeout=1.5 if mode != "off" else 60.0,
         ping_grace=2.0, backoff=0.05, degrade_after=30.0,
-        batch=batch, adaptive_window=True,
-        chaos=driver_chaos(mode),
+        window=window, chaos=driver_chaos(mode),
     )
 
 
@@ -94,16 +90,16 @@ class TestEquivalenceMatrix:
         assert result.rows == baseline
         assert sorted_rows_blob(result.rows) == sorted_rows_blob(baseline)
 
-    @pytest.mark.parametrize("batch", BATCH_SIZES)
+    @pytest.mark.parametrize("window", WINDOWS)
     @pytest.mark.parametrize("mode", CHAOS_MODES)
-    def test_socket_matches_serial(self, baseline, batch, mode):
+    def test_socket_matches_serial(self, baseline, window, mode):
         policy = worker_chaos(mode)
         servers = [WorkerServer(chaos=policy), WorkerServer(chaos=policy)]
         for server in servers:
             server.start()
         try:
             backend = socket_backend(
-                [server.address for server in servers], batch, mode
+                [server.address for server in servers], window, mode
             )
             result = run_campaign(GRID_30, backend=backend)
             assert result.rows == baseline
@@ -122,18 +118,20 @@ class TestEquivalenceMatrix:
             for server in servers:
                 server.stop()
 
-    @pytest.mark.parametrize("batch", BATCH_SIZES)
-    def test_worker_death_mid_batch_matches_serial(self, baseline, batch):
-        # The doomed worker dies at frame accept once its job counter
-        # crosses the limit, taking a whole unanswered batch with it;
-        # every job in that batch must be requeued and land exactly once.
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_worker_death_mid_batch_matches_serial(self, baseline, window):
+        # The doomed worker dies on receiving its fourth job frame, with
+        # up to a whole window of jobs in flight and unanswered (at
+        # window 64, its entire share of the grid); every one of them
+        # must be requeued and land exactly once.  The test keeps its
+        # pre-v7 name, from when those in-flight jobs rode one batch.
         healthy = WorkerServer()
         doomed = WorkerServer(die_after_jobs=3)
         healthy.start()
         doomed.start()
         try:
             backend = socket_backend(
-                [healthy.address, doomed.address], batch, "off"
+                [healthy.address, doomed.address], window, "off"
             )
             result = run_campaign(GRID_30, backend=backend)
             assert result.rows == baseline
@@ -145,7 +143,7 @@ class TestEquivalenceMatrix:
             doomed.stop()
 
     def test_experiment_front_door_matches_serial(self, baseline):
-        # The v1 Experiment API plumbs batch/adaptive_window through
+        # The v1 Experiment API plumbs the socket knobs through
         # make_backend; its rows must match the runtime-level baseline.
         exp = (
             Experiment(n=[5, 6, 7], budget=[0, 1, 2, 3, 4])
@@ -159,7 +157,7 @@ class TestEquivalenceMatrix:
             campaign = exp.run(
                 backend="socket",
                 connect=[server.address for server in servers],
-                job_timeout=60.0, batch=8, adaptive_window=True,
+                job_timeout=60.0,
             )
             assert campaign.rows == baseline
             assert "socket" in (campaign.backend_summary or "")
@@ -213,54 +211,3 @@ class TestObservabilityEquivalence:
         records = load_history(history)
         assert len(records) == 1
         assert records[0]["scenarios"] == 30
-
-
-class TestShardStoreEquality:
-    """Worker-side shards reconciled through the store-merge path must
-    leave the driver's store byte-equal to a serial campaign's store."""
-
-    def _store_lines(self, path):
-        return sorted(path.read_text().splitlines())
-
-    def test_shard_merge_equals_driver_append(self, baseline, tmp_path):
-        serial_store = tmp_path / "serial.jsonl"
-        run_campaign(GRID_30, store=ResultStore(serial_store),
-                     backend=SerialBackend())
-
-        sharded_store = tmp_path / "sharded.jsonl"
-        shards = [tmp_path / "shard0.jsonl", tmp_path / "shard1.jsonl"]
-        servers = [WorkerServer(shard=str(path)) for path in shards]
-        for server in servers:
-            server.start()
-        try:
-            backend = socket_backend(
-                [server.address for server in servers], 8, "off"
-            )
-            result = run_campaign(GRID_30, store=ResultStore(sharded_store),
-                                  backend=backend)
-            assert result.rows == baseline
-            assert result.stats.sharded == 30
-            assert backend.last_stats["sharded"] == 30
-        finally:
-            for server in servers:
-                server.stop()
-
-        # Same rows, same line format, modulo completion order: the
-        # sorted JSONL bytes are identical.
-        assert (self._store_lines(sharded_store)
-                == self._store_lines(serial_store))
-
-        # And the shards themselves merge cleanly into a fresh store via
-        # the standard ``store merge`` path: hash-dedup keys, rows equal
-        # to the serial store's row for every key.
-        merged = ResultStore(tmp_path / "merged.jsonl")
-        for shard in shards:
-            assert shard.exists(), "worker never opened its shard"
-            merge_store = ResultStore(shard)
-            added, replaced = merged.merge_from(merge_store)
-            assert added == len(merge_store.keys())
-            assert replaced == 0
-        reference = ResultStore(serial_store)
-        assert sorted(merged.keys()) == sorted(reference.keys())
-        for key in merged.keys():
-            assert merged.get(key) == reference.get(key)

@@ -1,6 +1,6 @@
 """Tests for ASCII figure rendering."""
 
-from repro.experiments.figures import ascii_plot, sparkline
+from repro.reporting.render import ascii_plot, sparkline
 
 
 class TestSparkline:

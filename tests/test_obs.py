@@ -299,8 +299,8 @@ class TestInstrumentedCampaigns:
         assert worker_row["jobs"] == len(GRID_SMALL.expand())
         assert worker_row["rtt_ms"] != ""
 
-    @pytest.mark.parametrize("batch", [1, 8])
-    def test_phase_share_bounded_by_wall(self, worker, batch):
+    @pytest.mark.parametrize("window", [1, 8])
+    def test_phase_share_bounded_by_wall(self, worker, window):
         """Regression: per-job phases overlap (every queued job waits at
         once), and summing them against the wall used to print shares
         like ``queue wait* 2706.5%``.  share_% now unions reconstructed
@@ -310,7 +310,7 @@ class TestInstrumentedCampaigns:
         address = f"{worker.host}:{worker.port}"
         telemetry = Telemetry()
         CampaignRunner(
-            backend=SocketBackend([address], window=4, batch=batch),
+            backend=SocketBackend([address], window=window),
             telemetry=telemetry,
         ).run(GRID_30)
         breakdown = obs_stats.phase_breakdown(telemetry.rows)

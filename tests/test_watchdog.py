@@ -233,11 +233,12 @@ class TestSocketCampaignLockOrders:
         assert watchdog.check(static_edges=static) is None
 
     def test_worker_shard_locks_are_observed(self, tmp_path):
-        """Sharded workers exercise the worker-side traced locks; the
-        send/shard/accounting domains must stay un-nested (no pair
-        between any two WorkerServer locks)."""
+        """A campaign plus a stop() exercise the worker-side traced
+        locks; the send and accounting/registry domains must stay
+        un-nested (no pair between any two WorkerServer locks).  The
+        name predates the removal of worker result shards."""
         watchdog = LockOrderWatchdog()
-        server = WorkerServer(shard=tmp_path / "shard.jsonl")
+        server = WorkerServer()
         server.start()
         try:
             with watchdog_module.activate(watchdog):
@@ -248,6 +249,7 @@ class TestSocketCampaignLockOrders:
                     store=ResultStore(tmp_path / "rows.jsonl"),
                     backend=backend,
                 )
+                server.stop()
         finally:
             server.stop()
         assert len(result.rows) == 2

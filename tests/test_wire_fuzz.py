@@ -1,15 +1,15 @@
 """Property-based wire-protocol fuzz tests (seeded, dependency-free).
 
-Three properties over randomly generated inputs, each with a fixed seed
-so failures reproduce:
+Three properties over randomly generated v7 ``job``/``result`` frames,
+each with a fixed seed so failures reproduce:
 
-* **round-trip**: any batch payload -- random batch sizes, random keys,
-  arbitrarily nested JSON specs/rows -- survives v5 framing byte-exact,
-  and validates through :func:`decode_jobs` / :func:`decode_results`;
-* **refusal**: any random byte corruption or truncation of a framed
-  batch is refused as a :class:`WireError` (or clean EOF at a frame
-  boundary) -- never a half-decoded batch, never a silently different
-  document;
+* **round-trip**: any frame -- random keys, arbitrarily nested JSON
+  specs/rows -- survives framing byte-exact, and validates through
+  :func:`decode_job` / :func:`decode_result`;
+* **refusal**: any random byte corruption or truncation of a frame is
+  refused as a :class:`WireError` (or clean EOF at a frame boundary) --
+  never a half-decoded frame, never a silently different document --
+  and a well-framed but structurally malformed frame is refused whole;
 * **resumability**: a frame stream chopped at random byte positions and
   delivered across ``socket.timeout`` boundaries decodes to exactly the
   frames sent, in order, with no desync.
@@ -27,8 +27,8 @@ from repro.runtime.backends.wire import (
     FrameReceiver,
     MAX_FRAME_BYTES,
     WireError,
-    decode_jobs,
-    decode_results,
+    decode_job,
+    decode_result,
     recv_frame,
     send_frame,
 )
@@ -85,75 +85,73 @@ def random_json(rng: random.Random, depth: int = 0):
     }
 
 
-def random_jobs_frame(rng: random.Random):
-    entries = [
-        {"key": "%064x" % rng.getrandbits(256),
-         "spec": {"n": rng.randrange(3, 50),
-                  "extra": random_json(rng)}}
-        for _ in range(rng.randrange(1, 20))
-    ]
-    doc = {"type": "jobs", "batch": rng.randrange(1, 10**6),
-           "jobs": entries, "sent_at": rng.uniform(0, 2e9)}
+def random_job_frame(rng: random.Random):
+    doc = {"type": "job", "key": "%064x" % rng.getrandbits(256),
+           "spec": {"n": rng.randrange(3, 50), "extra": random_json(rng)},
+           "sent_at": rng.uniform(0, 2e9)}
     if rng.random() < 0.5:
         doc["telemetry"] = True
     return doc
 
 
-def random_results_frame(rng: random.Random):
-    entries = []
-    for _ in range(rng.randrange(1, 20)):
-        entry = {"key": "%064x" % rng.getrandbits(256),
-                 "ok": rng.random() < 0.9,
-                 "timing": {"exec_s": rng.uniform(0, 1)}}
-        if rng.random() < 0.3:
-            entry["sharded"] = True
-        else:
-            entry["row"] = {"agreed": True, "payload": random_json(rng)}
-        entries.append(entry)
-    return {"type": "results", "batch": rng.randrange(1, 10**6),
-            "results": entries}
+def random_result_frame(rng: random.Random):
+    return {"type": "result", "key": "%064x" % rng.getrandbits(256),
+            "ok": rng.random() < 0.9,
+            "row": {"agreed": True, "payload": random_json(rng)},
+            "timing": {"exec_s": rng.uniform(0, 1)},
+            "metrics": {"queue": rng.randrange(0, 8),
+                        "done": rng.randrange(0, 10**4)}}
+
+
+def without(doc, field):
+    """``doc`` minus one field."""
+    return {key: value for key, value in doc.items() if key != field}
+
+
+def random_frame(rng: random.Random):
+    return (random_job_frame(rng) if rng.random() < 0.5
+            else random_result_frame(rng))
 
 
 class TestRoundTrip:
     def test_random_batch_frames_roundtrip_byte_exact(self):
+        # A batch of TRIALS random frames, one after another on a socket.
         rng = random.Random(0xBA7C4)
         a, b = socket_module.socketpair()
         try:
             for _ in range(TRIALS):
-                doc = (random_jobs_frame(rng) if rng.random() < 0.5
-                       else random_results_frame(rng))
+                doc = random_frame(rng)
                 send_frame(a, doc)
                 received = recv_frame(b)
                 assert received == doc
-                if received["type"] == "jobs":
-                    assert decode_jobs(received) == doc["jobs"]
-                else:
-                    assert decode_results(received) == doc["results"]
+                decode = decode_job if doc["type"] == "job" else decode_result
+                assert decode(received) == doc
         finally:
             a.close()
             b.close()
 
     def test_large_batch_roundtrips(self):
+        # 500 job frames back to back in one stream, each carrying a
+        # bulky spec, decode in order; then clean EOF at the boundary.
         rng = random.Random(5)
-        doc = {"type": "jobs", "batch": 1, "sent_at": 0.0,
-               "jobs": [{"key": "%064x" % rng.getrandbits(256),
-                         "spec": {"n": 7, "blob": "x" * 200}}
-                        for _ in range(500)]}
-        stream = ByteStream(frame_bytes(doc))
-        assert recv_frame(stream) == doc
-        assert len(frame_bytes(doc)) < MAX_FRAME_BYTES
+        docs = [{"type": "job", "key": "%064x" % rng.getrandbits(256),
+                 "spec": {"n": 7, "blob": "x" * 20_000}, "sent_at": 0.0}
+                for _ in range(500)]
+        stream = ByteStream(b"".join(frame_bytes(doc) for doc in docs))
+        assert [recv_frame(stream) for _ in docs] == docs
+        assert recv_frame(stream) is None
+        assert all(len(frame_bytes(doc)) < MAX_FRAME_BYTES for doc in docs)
 
 
 class TestRefusal:
     def test_random_byte_corruption_never_half_decodes(self):
         # Any flipped byte -- header length, header CRC, or body -- must
         # surface as WireError.  It must never decode to a *different*
-        # document than the one sent (a half-accepted batch would break
-        # the all-or-nothing requeue contract).
+        # document than the one sent (the driver would record a result,
+        # or the worker run a spec, that nobody sent).
         rng = random.Random(0xC0DE)
         for _ in range(TRIALS):
-            doc = (random_jobs_frame(rng) if rng.random() < 0.5
-                   else random_results_frame(rng))
+            doc = random_frame(rng)
             frame = bytearray(frame_bytes(doc))
             for _ in range(rng.randrange(1, 4)):
                 position = rng.randrange(len(frame))
@@ -170,7 +168,7 @@ class TestRefusal:
     def test_random_truncation_is_eof_or_wire_error(self):
         rng = random.Random(0x7E4)
         for _ in range(TRIALS):
-            doc = random_jobs_frame(rng)
+            doc = random_job_frame(rng)
             frame = frame_bytes(doc)
             cut = rng.randrange(len(frame))
             stream = ByteStream(frame[:cut])
@@ -182,39 +180,36 @@ class TestRefusal:
                     recv_frame(stream)
 
     def test_structural_mutations_refused_whole(self):
-        # decode_jobs/decode_results guard structure the checksum cannot:
-        # a frame that *is* valid JSON but not a valid batch.
+        # decode_job/decode_result guard structure the checksum cannot:
+        # a frame that *is* valid JSON but not a valid job or result.
         rng = random.Random(99)
-        jobs = random_jobs_frame(rng)
-        results = random_results_frame(rng)
+        job = random_job_frame(rng)
+        result = random_result_frame(rng)
         bad_jobs = [
-            {**jobs, "jobs": []},
-            {**jobs, "jobs": None},
-            {**jobs, "jobs": "not-a-list"},
-            {**jobs, "jobs": jobs["jobs"] + [{"spec": {}}]},       # no key
-            {**jobs, "jobs": jobs["jobs"] + [{"key": "ab"}]},      # no spec
-            {**jobs, "jobs": jobs["jobs"] + [{"key": 7, "spec": {}}]},
-            {**jobs, "jobs": jobs["jobs"] + [{"key": "ab", "spec": []}]},
-            {**jobs, "jobs": jobs["jobs"] + ["entry"]},
+            without(job, "key"),
+            without(job, "spec"),
+            {**job, "key": 7},
+            {**job, "key": None},
+            {**job, "spec": []},
+            {**job, "spec": "not-a-dict"},
+            {**job, "spec": None},
         ]
         for doc in bad_jobs:
             with pytest.raises(WireError):
-                decode_jobs(doc)
+                decode_job(doc)
         bad_results = [
-            {**results, "results": []},
-            {**results, "results": None},
-            {**results, "results": results["results"] + [{"ok": True}]},
-            {**results, "results": results["results"]
-             + [{"key": "ab", "ok": "yes"}]},
-            # ok entry with neither a row nor a shard marker
-            {**results, "results": results["results"]
-             + [{"key": "ab", "ok": True}]},
-            {**results, "results": results["results"]
-             + [{"key": "ab", "ok": True, "row": "not-a-dict"}]},
+            without(result, "key"),
+            without(result, "ok"),
+            without(result, "row"),
+            {**result, "key": 7},
+            {**result, "ok": "yes"},
+            {**result, "ok": 1},
+            {**result, "row": "not-a-dict"},
+            {**result, "row": None},
         ]
         for doc in bad_results:
             with pytest.raises(WireError):
-                decode_results(doc)
+                decode_result(doc)
 
 
 class TestResumability:
@@ -224,11 +219,7 @@ class TestResumability:
         # sent -- FrameReceiver's buffer keeps the stream position true.
         rng = random.Random(0xF10)
         for _ in range(10):
-            docs = [
-                (random_jobs_frame(rng) if rng.random() < 0.5
-                 else random_results_frame(rng))
-                for _ in range(rng.randrange(2, 6))
-            ]
+            docs = [random_frame(rng) for _ in range(rng.randrange(2, 6))]
             stream = b"".join(frame_bytes(doc) for doc in docs)
             cuts = sorted(
                 rng.randrange(1, len(stream))
