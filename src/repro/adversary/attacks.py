@@ -108,8 +108,8 @@ class CommitteeInfiltrationAttack(Adversary):
 
         # Detect vote rounds and schedule the matching announcement round.
         seen = set()
-        for env in view.honest_outgoing:
-            tag = env.tag()
+        for send in view.honest_sends:
+            tag = send.tag()
             if (
                 isinstance(tag, tuple)
                 and tag

@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from ..net.adversary import AdversaryWorld
 from ..net.context import ProcessContext
-from ..net.message import Envelope
+from ..net.message import Broadcast, Envelope
 
 Factory = Callable[[ProcessContext], Generator]
 
@@ -83,11 +83,23 @@ class GhostRunner:
         return self._split_internal(outgoing)
 
     def _advance(self, pid: int, inbox: Optional[List[Envelope]]) -> List[Envelope]:
+        """One ghost round; its broadcasts come back as ``n`` envelopes
+        each, since the adversary filters and emits per envelope."""
         try:
-            return list(self._generators[pid].send(inbox) or [])
+            produced = self._generators[pid].send(inbox) or []
         except StopIteration:
             self._finished[pid] = True
             return []
+        outgoing: List[Envelope] = []
+        for item in produced:
+            if type(item) is Broadcast:
+                outgoing.extend(
+                    Envelope(item.sender, j, item.payload)
+                    for j in range(self.world.n)
+                )
+            else:
+                outgoing.append(item)
+        return outgoing
 
     def _split_internal(self, outgoing: List[Envelope]) -> List[Envelope]:
         """Queue ghost-to-ghost messages internally; return the rest."""

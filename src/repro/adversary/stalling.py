@@ -59,8 +59,8 @@ class StallingAdversary(Adversary):
     def _observed_tags(self, view: AdversaryView) -> List[tuple]:
         tags = []
         seen = set()
-        for env in view.honest_outgoing:
-            tag = env.tag()
+        for send in view.honest_sends:
+            tag = send.tag()
             if isinstance(tag, tuple) and tag not in seen:
                 seen.add(tag)
                 tags.append(tag)

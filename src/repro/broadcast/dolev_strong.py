@@ -17,7 +17,7 @@ from typing import Any, Generator, List, Optional, Set, Tuple
 
 from ..crypto.keys import KeyStore, Signature
 from ..net.context import ProcessContext
-from ..net.message import Envelope, by_tag
+from ..net.message import Envelope, by_tag_all
 from ..perf import memoized_check
 
 DEFAULT = ("ds-default",)
@@ -118,15 +118,3 @@ def dolev_strong(
     if len(accepted) == 1:
         return next(iter(accepted))
     return DEFAULT
-
-
-def by_tag_all(inbox: List[Envelope], tag: tuple) -> List[Tuple[int, Any]]:
-    """Like :func:`repro.net.message.by_tag` but keeping *all* messages per
-    sender -- Dolev-Strong relays may legitimately carry several chains for
-    the same instance in one round.  Parses each payload once."""
-    out: List[Tuple[int, Any]] = []
-    for env in inbox:
-        env_tag, body = env.parts()
-        if env_tag == tag:
-            out.append((env.sender, body))
-    return out

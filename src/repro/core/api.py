@@ -237,7 +237,7 @@ def _solve(
         bits=result.metrics.honest_bits,
         prediction_errors=count_errors(predictions, honest).total,
         metrics=result.metrics,
-        cache_stats=cache_report(keystore=keystore, metrics=result.metrics),
+        cache_stats=cache_report(keystore=keystore),
     )
 
 
@@ -304,7 +304,6 @@ def _solve_baseline(
         bits=result.metrics.honest_bits,
         prediction_errors=0,
         metrics=result.metrics,
-        cache_stats=cache_report(metrics=result.metrics),
     )
 
 

@@ -3,7 +3,16 @@
 from .adversary import Adversary, AdversaryView, AdversaryWorld
 from .context import ProcessContext
 from .engine import ExecutionResult, Network
-from .message import Envelope, by_tag, senders_of, tagged
+from .message import (
+    Broadcast,
+    Envelope,
+    Inbox,
+    RoundTraffic,
+    by_tag,
+    by_tag_all,
+    senders_of,
+    tagged,
+)
 from .metrics import MetricsCollector, payload_bits
 from .trace import RoundRecord, Tracer, render_trace
 from .protocol import (
@@ -18,15 +27,19 @@ __all__ = [
     "Adversary",
     "AdversaryView",
     "AdversaryWorld",
+    "Broadcast",
     "Envelope",
     "ExecutionResult",
+    "Inbox",
     "MetricsCollector",
     "Network",
     "ProcessContext",
     "RoundRecord",
+    "RoundTraffic",
     "SimulationTimeout",
     "Tracer",
     "by_tag",
+    "by_tag_all",
     "idle",
     "payload_bits",
     "run_exactly",

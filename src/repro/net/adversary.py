@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence
 
-from .message import Envelope
+from .message import Envelope, Send
 
 
 @dataclass
@@ -54,11 +54,28 @@ class AdversaryWorld:
 
 @dataclass
 class AdversaryView:
-    """Per-round information handed to the adversary (rushing model)."""
+    """Per-round information handed to the adversary (rushing model).
+
+    Attributes:
+        round_no: the round being played.
+        honest_outgoing: every honest envelope of the round, a broadcast
+            expanded to its ``n`` envelopes (the engine builds them only
+            if the strategy reads them).
+        inbox_to_faulty: the envelopes of ``honest_outgoing`` addressed
+            to faulty processes, likewise built on first access.
+        honest_sends: the same traffic with each broadcast held once, as
+            a :class:`~repro.net.message.Broadcast`; strategies that only
+            look at payloads read this.  Defaults to ``honest_outgoing``.
+    """
 
     round_no: int
-    honest_outgoing: List[Envelope]
-    inbox_to_faulty: List[Envelope]
+    honest_outgoing: Sequence[Envelope]
+    inbox_to_faulty: Sequence[Envelope]
+    honest_sends: Optional[Sequence[Send]] = None
+
+    def __post_init__(self) -> None:
+        if self.honest_sends is None:
+            self.honest_sends = self.honest_outgoing
 
     def messages_to(self, pid: int) -> List[Envelope]:
         return [e for e in self.honest_outgoing if e.recipient == pid]

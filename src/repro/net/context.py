@@ -7,9 +7,14 @@ communicates with the round engine through its yield points::
     inbox = yield outgoing
 
 Each ``yield`` corresponds to exactly one synchronous round: the process
-transmits ``outgoing`` (a list of :class:`~repro.net.message.Envelope`) and
-receives ``inbox``, the messages addressed to it in the same round.  The
-generator's return value is the protocol's output for this process.
+transmits ``outgoing``, a list of :class:`~repro.net.message.Envelope`
+(point-to-point, from :meth:`ProcessContext.send`) and
+:class:`~repro.net.message.Broadcast` (to every process, from
+:meth:`ProcessContext.broadcast`) objects, and receives ``inbox``, the
+messages addressed to it in the same round, as envelopes.  Read the inbox
+with :func:`~repro.net.message.by_tag` or
+:func:`~repro.net.message.by_tag_all`.  The generator's return value is
+the protocol's output for this process.
 
 Sub-protocols compose with ``yield from``, which keeps every honest process
 on the same global round schedule -- exactly the paper's lock-step model.
@@ -20,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
-from .message import Envelope, tagged
+from .message import Broadcast, Envelope, tagged
 
 
 @dataclass
@@ -40,15 +45,16 @@ class ProcessContext:
     t: int
     signer: Optional[Any] = None
 
-    def broadcast(self, tag: tuple, body: Any) -> List[Envelope]:
-        """Envelopes sending ``(tag, body)`` to every process (incl. self).
+    def broadcast(self, tag: tuple, body: Any) -> List[Broadcast]:
+        """A one-item send list carrying ``(tag, body)`` to every process
+        (incl. self).
 
         The paper's ``broadcast`` includes the sender itself (e.g.
         Algorithm 2 counts the process's own prediction vector), so self
-        delivery goes through the network like any other message.
+        delivery goes through the network like any other message.  The
+        engine delivers and counts it as ``n`` envelopes.
         """
-        payload = tagged(tag, body)
-        return [Envelope(self.pid, j, payload) for j in range(self.n)]
+        return [Broadcast(self.pid, tagged(tag, body))]
 
     def send(self, recipient: int, tag: tuple, body: Any) -> Envelope:
         """A single point-to-point envelope."""

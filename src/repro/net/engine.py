@@ -13,6 +13,13 @@
   :class:`~repro.net.metrics.MetricsCollector`, counting only messages sent
   by honest processes, per the paper's complexity definition.
 
+A broadcast travels as one :class:`~repro.net.message.Broadcast` object:
+the engine validates it once, collects the round's honest sends in a
+:class:`~repro.net.message.RoundTraffic` that accounting, the adversary
+and the observer read, and delivers in one step that builds the round's
+tag index once and hands each honest process an
+:class:`~repro.net.message.Inbox` view over it.
+
 An execution ends when every honest process has returned from its protocol
 coroutine; the per-process return values are the decisions.
 """
@@ -24,7 +31,7 @@ from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Set
 
 from .adversary import Adversary, AdversaryView, AdversaryWorld
 from .context import ProcessContext
-from .message import Envelope
+from .message import Broadcast, Envelope, Inbox, RoundTraffic, Send
 from .metrics import MetricsCollector
 from .protocol import SimulationTimeout
 
@@ -64,15 +71,15 @@ class _HonestDriver:
         self.finished = False
         self.result: Any = None
 
-    def start(self) -> List[Envelope]:
+    def start(self) -> List[Send]:
         return self._advance(None)
 
-    def resume(self, inbox: List[Envelope]) -> List[Envelope]:
+    def resume(self, inbox: Inbox) -> List[Send]:
         if self.finished:
             return []
         return self._advance(inbox)
 
-    def _advance(self, inbox: Optional[List[Envelope]]) -> List[Envelope]:
+    def _advance(self, inbox: Optional[Inbox]) -> List[Send]:
         try:
             outgoing = self.generator.send(inbox)
         except StopIteration as stop:
@@ -137,9 +144,9 @@ class Network:
         """Execute until every honest process returns; collect decisions."""
         self.adversary.bind(self.world)
         drivers = self._drivers
-        outgoing: List[Envelope] = []
+        outgoing = RoundTraffic(self.n)
         for pid in self.honest_ids:
-            outgoing.extend(self._validated(drivers[pid].start(), pid))
+            outgoing.add(self._validated(drivers[pid].start(), pid))
         round_no = 0
         self._note_decisions(round_no)
 
@@ -153,13 +160,13 @@ class Network:
             self.metrics.record_sends(outgoing)
             faulty_out = self._adversary_round(round_no, outgoing)
             if self.observer is not None:
-                self.observer.on_round(round_no, list(outgoing), list(faulty_out))
-            inboxes = self._route(outgoing, faulty_out)
-            outgoing = []
+                self.observer.on_round(round_no, outgoing, faulty_out)
+            inboxes = self._deliver(outgoing, faulty_out)
+            outgoing = RoundTraffic(self.n)
             for pid in self.honest_ids:
                 produced = drivers[pid].resume(inboxes[pid])
                 if produced:
-                    outgoing.extend(self._validated(produced, pid))
+                    outgoing.add(self._validated(produced, pid))
             self._note_decisions(round_no)
 
         decisions = {pid: d.result for pid, d in self._drivers.items()}
@@ -167,12 +174,12 @@ class Network:
             decisions=decisions, metrics=self.metrics, honest_ids=list(self.honest_ids)
         )
 
-    def _adversary_round(self, round_no: int, honest_out: List[Envelope]) -> List[Envelope]:
-        inbox_to_faulty = [e for e in honest_out if e.recipient in self.faulty_ids]
+    def _adversary_round(self, round_no: int, honest_out: RoundTraffic) -> List[Envelope]:
         view = AdversaryView(
             round_no=round_no,
-            honest_outgoing=list(honest_out),
-            inbox_to_faulty=inbox_to_faulty,
+            honest_outgoing=honest_out,
+            inbox_to_faulty=honest_out.addressed_to(self.faulty_ids),
+            honest_sends=honest_out.sends,
         )
         produced = self.adversary.step(view) or []
         validated = []
@@ -187,34 +194,34 @@ class Network:
             validated.append(env)
         return validated
 
-    def _validated(self, outgoing: List[Envelope], pid: int) -> List[Envelope]:
-        for env in outgoing:
-            if env.sender != pid:
-                raise ValueError(f"process {pid} tried to send as {env.sender}")
-            if not (0 <= env.recipient < self.n):
-                raise ValueError(f"invalid recipient {env.recipient}")
+    def _validated(self, outgoing: List[Send], pid: int) -> List[Send]:
+        for item in outgoing:
+            if item.sender != pid:
+                raise ValueError(f"process {pid} tried to send as {item.sender}")
+            if type(item) is not Broadcast and not (0 <= item.recipient < self.n):
+                raise ValueError(f"invalid recipient {item.recipient}")
         return outgoing
 
-    def _route(
-        self, honest_out: List[Envelope], faulty_out: List[Envelope]
-    ) -> Dict[int, List[Envelope]]:
-        """One round's inboxes, preallocated per honest recipient.
+    def _deliver(
+        self, honest_out: RoundTraffic, faulty_out: List[Envelope]
+    ) -> Dict[int, Inbox]:
+        """One round's inboxes: a view per honest recipient over the shared
+        honest traffic, plus the adversary's envelopes to it.
 
         Messages addressed to faulty processes are not binned: the
         adversary already receives them through its
-        :class:`~repro.net.adversary.AdversaryView` (``inbox_to_faulty``),
-        so routing them here was pure waste.
+        :class:`~repro.net.adversary.AdversaryView` (``inbox_to_faulty``).
         """
-        inboxes: Dict[int, List[Envelope]] = {pid: [] for pid in self.honest_ids}
-        for env in honest_out:
-            box = inboxes.get(env.recipient)
-            if box is not None:
-                box.append(env)
+        honest_out.index_tags()
+        faulty_to: Dict[int, List[Envelope]] = {}
+        drivers = self._drivers
         for env in faulty_out:
-            box = inboxes.get(env.recipient)
-            if box is not None:
-                box.append(env)
-        return inboxes
+            if env.recipient in drivers:
+                faulty_to.setdefault(env.recipient, []).append(env)
+        return {
+            pid: Inbox(honest_out, pid, faulty_to.get(pid, ()))
+            for pid in self.honest_ids
+        }
 
     def _note_decisions(self, round_no: int) -> None:
         if not self._undecided:

@@ -1,12 +1,22 @@
-"""Message and envelope types for the synchronous round-based simulator.
+"""Message types and per-round delivery for the synchronous simulator.
 
 The paper's model is a synchronous message-passing network: in each round,
 every process may transmit messages to other processes, receive the messages
 transmitted to it in that round, and update its state.  An :class:`Envelope`
-is one point-to-point transmission.  The channel model is the standard one
+is one point-to-point transmission and a :class:`Broadcast` one message to
+every process, the sender included.  The channel model is the standard one
 for Byzantine agreement: the receiver learns the *authentic identity* of the
 sender (oral-messages model), so a faulty process cannot spoof an honest
 sender id, but it may send arbitrary payloads.
+
+A broadcast stays one object from the sender to the receivers: the engine
+collects a round's honest sends in a :class:`RoundTraffic`, which counts a
+broadcast as ``n`` envelopes but indexes it once by tag, and each honest
+process receives an :class:`Inbox` view that shares that index and adds the
+process's own point-to-point and adversary envelopes.  Every reader sees
+exactly the envelope sequence the expanded broadcasts would have produced:
+honest sends in sender order (each sender's in the order it yielded them),
+then the adversary's envelopes in the order it emitted them.
 
 Payload convention
 ------------------
@@ -22,20 +32,58 @@ payloads; all protocol code treats inbound payloads as untrusted.
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Sequence, Tuple
+from typing import (
+    Any,
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 
 _MALFORMED: Tuple[Any, Any] = (None, None)
 
 
+class _Tagged:
+    """``(tag, body)`` accessors shared by :class:`Envelope` and
+    :class:`Broadcast` (both carry a ``payload``)."""
+
+    __slots__ = ()
+
+    def parts(self) -> Tuple[Any, Any]:
+        """The payload as a ``(tag, body)`` pair; ``(None, None)`` when
+        malformed.  One structure check yields both halves, so bulk
+        readers (:func:`by_tag`, :func:`by_tag_all`) parse each message
+        exactly once; ``tag()``/``body()`` delegate here and cost one
+        check per call (a frozen ``__slots__`` instance has nowhere to
+        memoize)."""
+        payload = self.payload  # type: ignore[attr-defined]
+        if isinstance(payload, tuple) and len(payload) == 2:
+            return payload
+        return _MALFORMED
+
+    def tag(self) -> Any:
+        """Return the payload tag, or ``None`` for malformed payloads."""
+        return self.parts()[0]
+
+    def body(self) -> Any:
+        """Return the payload body, or ``None`` for malformed payloads."""
+        return self.parts()[1]
+
+
 @dataclass(frozen=True, slots=True)
-class Envelope:
+class Envelope(_Tagged):
     """A single point-to-point message transmission.
 
-    Frozen with ``__slots__``: envelopes are the engine's highest-volume
-    object (one per process pair per round), so attribute access stays on
-    the fast path and instances carry no dict.
+    Frozen with ``__slots__``: instances carry no dict, so attribute
+    access stays on the fast path.
 
     Attributes:
         sender: id of the transmitting process (authenticated by the
@@ -50,25 +98,240 @@ class Envelope:
     recipient: int
     payload: Any
 
-    def parts(self) -> Tuple[Any, Any]:
-        """The payload as a ``(tag, body)`` pair; ``(None, None)`` when
-        malformed.  One structure check yields both halves, so bulk
-        readers (:func:`by_tag`, Dolev-Strong's ``by_tag_all``) parse each
-        envelope exactly once; ``tag()``/``body()`` delegate here and cost
-        one check per call (a frozen ``__slots__`` instance has nowhere to
-        memoize)."""
-        payload = self.payload
-        if isinstance(payload, tuple) and len(payload) == 2:
-            return payload
-        return _MALFORMED
 
-    def tag(self) -> Any:
-        """Return the payload tag, or ``None`` for malformed payloads."""
-        return self.parts()[0]
+@dataclass(frozen=True, slots=True)
+class Broadcast(_Tagged):
+    """One message to every process, the sender included.
 
-    def body(self) -> Any:
-        """Return the payload body, or ``None`` for malformed payloads."""
-        return self.parts()[1]
+    Counts as ``n`` envelopes, one per recipient ``0..n-1`` in that order,
+    for delivery, accounting and the adversary's view alike; only honest
+    processes send it (the adversary emits envelopes).
+    """
+
+    sender: int
+    payload: Any
+
+
+Send = Union[Broadcast, Envelope]
+Pairs = List[Tuple[int, Any]]
+
+
+class _Lazy(SequenceABC):
+    """A sequence of envelopes that ``_build()`` makes on first access."""
+
+    __slots__ = ("_items",)
+
+    def _build(self) -> List[Envelope]:
+        raise NotImplementedError
+
+    def _envelopes(self) -> List[Envelope]:
+        if self._items is None:
+            self._items = self._build()
+        return self._items
+
+    def __len__(self) -> int:
+        return len(self._envelopes())
+
+    def __getitem__(self, index: Any) -> Any:
+        return self._envelopes()[index]
+
+    def __iter__(self) -> Iterator[Envelope]:
+        return iter(self._envelopes())
+
+
+class RoundTraffic(_Lazy):
+    """One round's honest sends, each broadcast held once.
+
+    ``sends`` keeps every :class:`Broadcast` and point-to-point
+    :class:`Envelope` in send order, and one sender's sends are contiguous
+    (the engine adds each process's round at once, in pid order).  As a
+    sequence the traffic is the round's envelopes with every broadcast
+    replaced by its ``n`` envelopes, built on first access; ``len()`` is
+    their count without building them.
+    """
+
+    def __init__(self, n: int) -> None:
+        self._items = None
+        self.n = n
+        self.sends: List[Send] = []
+        self.broadcasts = 0
+        #: recipient -> its point-to-point envelopes, in send order.
+        self.direct: Dict[int, List[Envelope]] = {}
+        #: tag -> ``(pairs, first per sender)`` over the broadcasts;
+        #: ``None`` until built or when a tag is unhashable.
+        self._index: Optional[Dict[Any, Tuple[Pairs, Pairs]]] = None
+
+    def add(self, sends: Iterable[Send]) -> None:
+        """Append one process's (validated) sends for this round."""
+        for item in sends:
+            if type(item) is Broadcast:
+                self.broadcasts += 1
+            else:
+                self.direct.setdefault(item.recipient, []).append(item)
+            self.sends.append(item)
+
+    def counted(self) -> Iterator[Tuple[Send, int]]:
+        """Each send with the number of envelopes it stands for."""
+        n = self.n
+        for item in self.sends:
+            yield item, (n if type(item) is Broadcast else 1)
+
+    def __len__(self) -> int:
+        return self.n * self.broadcasts + len(self.sends) - self.broadcasts
+
+    def _build(self) -> List[Envelope]:
+        return self.envelopes()
+
+    def envelopes(self, recipients: Optional[Collection[int]] = None) -> List[Envelope]:
+        """The expanded envelopes, optionally only those to ``recipients``,
+        in send order (a broadcast's in recipient order)."""
+        targets = range(self.n) if recipients is None else sorted(recipients)
+        out: List[Envelope] = []
+        for item in self.sends:
+            if type(item) is Broadcast:
+                sender, payload = item.sender, item.payload
+                out.extend(Envelope(sender, j, payload) for j in targets)
+            elif recipients is None or item.recipient in recipients:
+                out.append(item)
+        return out
+
+    def addressed_to(self, recipients: Collection[int]) -> "Sequence[Envelope]":
+        """The envelopes to ``recipients`` (see :meth:`envelopes`), built on
+        first access."""
+        return _Addressed(self, recipients)
+
+    def index_tags(self) -> None:
+        """Build the round's tag index over the broadcasts, once.
+
+        An unhashable broadcast tag leaves the round unindexed, and every
+        :class:`Inbox` then scans its expanded envelopes instead.
+        """
+        index: Dict[Any, Tuple[Pairs, Pairs]] = {}
+        try:
+            for item in self.sends:
+                if type(item) is not Broadcast:
+                    continue
+                tag, body = item.parts()
+                pair = (item.sender, body)
+                entry = index.get(tag)
+                if entry is None:
+                    index[tag] = ([pair], [pair])
+                    continue
+                entry[0].append(pair)
+                # Sends are contiguous per sender, so a sender already
+                # seen under this tag is the last one recorded.
+                if entry[1][-1][0] != item.sender:
+                    entry[1].append(pair)
+        except TypeError:
+            return
+        self._index = index
+
+    def honest_pairs(self, tag: Any, recipient: int) -> Optional[Tuple[Pairs, Pairs]]:
+        """``(sender, body)`` pairs with ``tag`` that ``recipient`` gets from
+        honest processes, all of them and the first per sender; ``None``
+        when the index cannot answer: an unhashable tag, or broadcasts and
+        point-to-point envelopes under ``tag`` in one round, whose order
+        only the expanded envelopes keep.  The lists may be shared across
+        recipients: callers copy before handing them out."""
+        if self._index is None:
+            return None
+        try:
+            entry = self._index.get(tag, _EMPTY_ENTRY)
+        except TypeError:
+            return None
+        direct = self.direct.get(recipient)
+        if direct:
+            pairs = _scan(direct, tag)
+            if pairs:
+                if entry[0]:
+                    return None
+                return pairs, _first_per_sender(pairs)
+        return entry
+
+
+_EMPTY_ENTRY: Tuple[Pairs, Pairs] = ([], [])
+
+
+class _Addressed(_Lazy):
+    """The round's envelopes to ``recipients`` (see
+    :meth:`RoundTraffic.envelopes`), then ``extra``, built on first access."""
+
+    __slots__ = ("_traffic", "_recipients", "_extra")
+
+    def __init__(self, traffic: RoundTraffic, recipients: Collection[int],
+                 extra: Sequence[Envelope] = ()) -> None:
+        self._items = None
+        self._traffic = traffic
+        self._recipients = recipients
+        self._extra = extra
+
+    def _build(self) -> List[Envelope]:
+        return self._traffic.envelopes(self._recipients) + list(self._extra)
+
+
+class Inbox(_Addressed):
+    """What one honest process receives in one round.
+
+    A view over the round's :class:`RoundTraffic` -- its broadcasts and
+    tag index are shared by every recipient -- plus this recipient's
+    adversary envelopes.  As a sequence it is the recipient's envelopes in
+    delivery order, built on first access; :meth:`by_tag` and
+    :meth:`by_tag_all` answer from the index without building them.
+    """
+
+    __slots__ = ("recipient",)
+
+    def __init__(self, traffic: RoundTraffic, recipient: int,
+                 faulty: Sequence[Envelope] = ()) -> None:
+        super().__init__(traffic, (recipient,), faulty)
+        self.recipient = recipient
+
+    def __len__(self) -> int:
+        traffic = self._traffic
+        return (traffic.broadcasts + len(traffic.direct.get(self.recipient, ()))
+                + len(self._extra))
+
+    def by_tag(self, tag: Any) -> Pairs:
+        """:func:`by_tag` on this inbox."""
+        honest = self._traffic.honest_pairs(tag, self.recipient)
+        if honest is None:
+            return _first_per_sender(_scan(self._envelopes(), tag))
+        # Honest and faulty senders are disjoint, so each part dedupes alone.
+        out = list(honest[1])
+        if self._extra:
+            out.extend(_first_per_sender(_scan(self._extra, tag)))
+        return out
+
+    def by_tag_all(self, tag: Any) -> Pairs:
+        """:func:`by_tag_all` on this inbox."""
+        honest = self._traffic.honest_pairs(tag, self.recipient)
+        if honest is None:
+            return _scan(self._envelopes(), tag)
+        out = list(honest[0])
+        if self._extra:
+            out.extend(_scan(self._extra, tag))
+        return out
+
+
+def _scan(envelopes: Iterable[Envelope], tag: Any) -> Pairs:
+    """``(sender, body)`` of every envelope whose payload tag equals ``tag``."""
+    out: Pairs = []
+    for env in envelopes:
+        env_tag, body = env.parts()
+        if env_tag != tag:
+            continue
+        out.append((env.sender, body))
+    return out
+
+
+def _first_per_sender(pairs: Pairs) -> Pairs:
+    seen = set()
+    out: Pairs = []
+    for pair in pairs:
+        if pair[0] not in seen:
+            seen.add(pair[0])
+            out.append(pair)
+    return out
 
 
 def tagged(tag: Tuple, body: Any) -> Tuple:
@@ -76,23 +339,26 @@ def tagged(tag: Tuple, body: Any) -> Tuple:
     return (tag, body)
 
 
-def by_tag(inbox: Iterable[Envelope], tag: Tuple) -> List[Tuple[int, Any]]:
+def by_tag(inbox: Iterable[Envelope], tag: Tuple) -> Pairs:
     """Extract ``(sender, body)`` pairs whose payload tag equals ``tag``.
 
-    At most one message per sender is kept (the first delivered); honest
-    processes never send two messages with the same tag in one round, so
-    deduplication only disarms Byzantine double-sends, matching the paper's
-    one-message-per-pair-per-round model.
+    At most one message per sender is kept (the first delivered), matching
+    the paper's one-message-per-pair-per-round model; this disarms
+    Byzantine double-sends.  Readers that need every message a relay sent
+    under one tag use :func:`by_tag_all`.
     """
-    seen = set()
-    out: List[Tuple[int, Any]] = []
-    for env in inbox:
-        env_tag, body = env.parts()
-        if env_tag != tag or env.sender in seen:
-            continue
-        seen.add(env.sender)
-        out.append((env.sender, body))
-    return out
+    if type(inbox) is Inbox:
+        return inbox.by_tag(tag)
+    return _first_per_sender(_scan(inbox, tag))
+
+
+def by_tag_all(inbox: Iterable[Envelope], tag: Tuple) -> Pairs:
+    """Like :func:`by_tag` but keeping *all* messages per sender --
+    Dolev-Strong relays may legitimately carry several chains for the same
+    instance in one round."""
+    if type(inbox) is Inbox:
+        return inbox.by_tag_all(tag)
+    return _scan(inbox, tag)
 
 
 def senders_of(pairs: Sequence[Tuple[int, Any]]) -> List[int]:

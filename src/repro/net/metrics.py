@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
-from ..perf import MISS, CacheStats, IdentityMemo
-from .message import Envelope
+from .message import Envelope, RoundTraffic
 
 
 def payload_bits(payload: Any) -> int:
@@ -75,52 +74,38 @@ class MetricsCollector:
     per_process: Counter = field(default_factory=Counter)
     per_component: Counter = field(default_factory=Counter)
     decision_round: Dict[int, int] = field(default_factory=dict)
-    # Identity-keyed payload measurement memo: an n-recipient broadcast
-    # shares one payload object across its n envelopes, so its bit size and
-    # component are computed once (the memo's strong references pin payload
-    # ids for the collector's lifetime; see repro.perf).
-    _payload_memo: IdentityMemo = field(
-        default_factory=lambda: IdentityMemo(CacheStats("payload_bits")),
-        init=False,
-        repr=False,
-        compare=False,
-    )
-
-    @property
-    def payload_cache_stats(self) -> CacheStats:
-        return self._payload_memo.stats
 
     def record_round(self) -> None:
         self.rounds += 1
         self.per_round.append(0)
 
-    def _measure(self, payload: Any) -> Tuple[int, str]:
-        entry = self._payload_memo.lookup(payload, None)
-        if entry is MISS:
-            entry = (payload_bits(payload), _component_of(payload))
-            self._payload_memo.store(payload, None, entry)
-        return entry
-
     def record_send(self, env: Envelope) -> None:
         self.record_sends((env,))
 
-    def record_sends(self, envelopes: Sequence[Envelope]) -> None:
-        """Record one round's honest traffic (the single accounting path)."""
-        if not envelopes:
+    def record_sends(self, traffic: Sequence[Envelope]) -> None:
+        """Record one round's honest traffic (the single accounting path).
+
+        ``traffic`` is the engine's :class:`~repro.net.message.RoundTraffic`
+        or any sequence of envelopes; ``len(traffic)`` is the envelope
+        count.  A broadcast is measured once and counted once per
+        recipient.
+        """
+        if not traffic:
             return
-        measure = self._measure
+        sends = (traffic.counted() if isinstance(traffic, RoundTraffic)
+                 else ((env, 1) for env in traffic))
         per_process = self.per_process
         per_component = self.per_component
         bits = 0
-        for env in envelopes:
-            env_bits, component = measure(env.payload)
-            bits += env_bits
-            per_process[env.sender] += 1
-            per_component[component] += 1
-        self.honest_messages += len(envelopes)
+        for send, copies in sends:
+            payload = send.payload
+            bits += payload_bits(payload) * copies
+            per_process[send.sender] += copies
+            per_component[_component_of(payload)] += copies
+        self.honest_messages += len(traffic)
         self.honest_bits += bits
         if self.per_round:
-            self.per_round[-1] += len(envelopes)
+            self.per_round[-1] += len(traffic)
 
     def record_decision(self, pid: int, round_no: int) -> None:
         self.decision_round.setdefault(pid, round_no)

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-from .message import Envelope
+from .message import Envelope, RoundTraffic
 from .metrics import _component_of
 
 
@@ -40,10 +40,12 @@ class Tracer:
     def on_round(
         self,
         round_no: int,
-        honest_out: List[Envelope],
+        honest_out: RoundTraffic,
         faulty_out: List[Envelope],
     ) -> None:
-        components = Counter(_component_of(env.payload) for env in honest_out)
+        components: Counter = Counter()
+        for send, copies in honest_out.counted():
+            components[_component_of(send.payload)] += copies
         self.rounds.append(
             RoundRecord(
                 round_no=round_no,

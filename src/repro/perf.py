@@ -2,8 +2,7 @@
 
 The simulator's inner loop is dominated by redundant work: a chain
 broadcast to ``n`` recipients used to be canonically re-encoded and
-re-verified ``n`` times, and a payload sent to ``n`` recipients was
-re-measured ``n`` times.  Echoing the sublinear-estimation mindset of
+re-verified ``n`` times.  Echoing the sublinear-estimation mindset of
 Eden-Ron-Seshadhri (arXiv:1604.03661) -- never recompute what a cached
 summary already tells you -- this module provides the shared caching
 primitives:
@@ -132,22 +131,15 @@ def memoized_check(
     return result
 
 
-def cache_report(
-    keystore: Optional[Any] = None, metrics: Optional[Any] = None
-) -> Dict[str, Dict[str, Any]]:
+def cache_report(keystore: Optional[Any] = None) -> Dict[str, Dict[str, Any]]:
     """Snapshot every cache's statistics as a flat JSON-friendly dict.
 
-    Accepts a :class:`~repro.crypto.keys.KeyStore` and/or a
-    :class:`~repro.net.metrics.MetricsCollector`; missing components are
-    simply omitted, so the report works for unauthenticated executions.
+    Accepts a :class:`~repro.crypto.keys.KeyStore`; without one (an
+    unauthenticated execution) the report is empty.
     """
     report: Dict[str, Dict[str, Any]] = {}
     if keystore is not None:
         report.update(keystore.cache_stats())
-    if metrics is not None:
-        stats = getattr(metrics, "payload_cache_stats", None)
-        if stats is not None:
-            report[stats.name] = stats.as_dict()
     # Mirror the rates into the obs metrics registry (no-op when it is
     # disabled).  Gauges are set here, at report time, not per hit: the
     # memoization fast path above must stay free of registry traffic.

@@ -4,6 +4,7 @@ import pytest
 
 from repro.net import (
     Adversary,
+    Broadcast,
     Envelope,
     Network,
     SimulationTimeout,
@@ -81,6 +82,13 @@ class TestValidation:
     def test_honest_process_cannot_missend(self):
         def bad(ctx):
             yield [Envelope(ctx.pid + 1, 0, "oops")]
+
+        with pytest.raises(ValueError, match="tried to send"):
+            run_sub(3, 0, [], bad)
+
+    def test_honest_process_cannot_broadcast_as_another(self):
+        def bad(ctx):
+            yield [Broadcast((ctx.pid + 1) % ctx.n, tagged(("t",), "oops"))]
 
         with pytest.raises(ValueError, match="tried to send"):
             run_sub(3, 0, [], bad)

@@ -1,5 +1,7 @@
 """Tests for the execution tracer."""
 
+from collections import Counter
+
 from repro.core.api import run_protocol
 from repro.gradecast import graded_consensus
 from repro.net import Tracer, render_trace
@@ -23,6 +25,10 @@ class TestTracer:
         tracer, result = self.run_traced()
         assert len(tracer.rounds) == result.rounds
         assert tracer.total_honest_messages == result.messages
+        components = Counter()
+        for record in tracer.rounds:
+            components.update(record.components)
+        assert components == result.metrics.per_component
 
     def test_components_attributed(self):
         tracer, _ = self.run_traced()
