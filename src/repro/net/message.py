@@ -195,7 +195,7 @@ class RoundTraffic(_Lazy):
                 out.append(item)
         return out
 
-    def addressed_to(self, recipients: Collection[int]) -> "Sequence[Envelope]":
+    def addressed_to(self, recipients: Collection[int]) -> Sequence[Envelope]:
         """The envelopes to ``recipients`` (see :meth:`envelopes`), built on
         first access."""
         return _Addressed(self, recipients)
