@@ -6,8 +6,6 @@ from .engine import ExecutionResult, Network
 from .message import (
     Broadcast,
     Envelope,
-    Inbox,
-    RoundTraffic,
     by_tag,
     by_tag_all,
     senders_of,
@@ -30,12 +28,10 @@ __all__ = [
     "Broadcast",
     "Envelope",
     "ExecutionResult",
-    "Inbox",
     "MetricsCollector",
     "Network",
     "ProcessContext",
     "RoundRecord",
-    "RoundTraffic",
     "SimulationTimeout",
     "Tracer",
     "by_tag",

@@ -56,6 +56,10 @@ class AdversaryWorld:
 class AdversaryView:
     """Per-round information handed to the adversary (rushing model).
 
+    The sequences are the engine's own round traffic, not copies: the
+    engine delivers from them after :meth:`Adversary.step` returns, so a
+    strategy reads them and never mutates them.
+
     Attributes:
         round_no: the round being played.
         honest_outgoing: every honest envelope of the round, a broadcast

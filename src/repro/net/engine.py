@@ -179,7 +179,7 @@ class Network:
             round_no=round_no,
             honest_outgoing=honest_out,
             inbox_to_faulty=honest_out.addressed_to(self.faulty_ids),
-            honest_sends=tuple(honest_out.sends),
+            honest_sends=honest_out.sends,
         )
         produced = self.adversary.step(view) or []
         validated = []
