@@ -26,7 +26,7 @@ from ..crypto.chains import extend_chain, inspect_chain, start_chain
 from ..crypto.keys import KeyStore
 from ..net.context import ProcessContext
 from ..net.message import Envelope, by_tag
-from ..util import value_sort_key
+from ..util import is_hashable, value_sort_key
 
 DEFAULT = ("bb-default",)  # the paper's "bot" output
 
@@ -59,7 +59,8 @@ def bb_with_implicit_committee(
         across the ``n`` recipients of a broadcast the expensive link-by-link
         verification runs once; this loop then only pays a cache lookup.
         Once two values are accepted the protocol is committed to returning
-        ``DEFAULT``, so further chains need no inspection at all.
+        ``DEFAULT``, so further chains need no inspection at all.  A chain
+        for an unhashable value (no honest sender starts one) is ignored.
         """
         if len(accepted) >= 2:
             return []
@@ -67,6 +68,8 @@ def bb_with_implicit_committee(
         for _, body in by_tag(inbox, tag):
             info = inspect_chain(body, ctx.t, keystore)
             if info is None or info.starter != sender:
+                continue
+            if not is_hashable(info.value):
                 continue
             if not info.is_valid_length(length):
                 continue

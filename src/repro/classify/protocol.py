@@ -9,6 +9,12 @@ nothing; anything that is not an ``n``-bit vector is ignored.
 One round, ``n`` messages per honest process (``n^2`` total), ``n``-bit
 payloads -- the paper notes this step alone is Theta(n^3) communication
 bits.
+
+Every recipient sums the same honest vectors, so the vote is read through
+:func:`~repro.net.message.reduce_by_tag` with the pure reducer
+:func:`tally` (argument ``n``): a round computes it once for every
+recipient no adversary vector reaches, which takes the shared part of the
+vote from ``Theta(n^3)`` to ``Theta(n^2)`` operations.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 from typing import Generator, List, Sequence, Tuple
 
 from ..net.context import ProcessContext
-from ..net.message import Envelope, by_tag
+from ..net.message import Envelope, Pairs, reduce_by_tag
 
 
 def vote_threshold(n: int) -> int:
@@ -39,14 +45,16 @@ def classify(
     n = ctx.n
     my_vector = tuple(prediction)
     inbox = yield ctx.broadcast(tag, my_vector)
-    received = [
-        vector
-        for _, vector in by_tag(inbox, tag)
-        if _well_formed(vector, n)
-    ]
+    return reduce_by_tag(inbox, tag, tally, n)
+
+
+def tally(pairs: Pairs, n: int) -> Tuple[int, ...]:
+    """The classification vector the well-formed ``n``-bit votes in
+    ``pairs`` give: ``1`` where at least :func:`vote_threshold` of them
+    predict honest."""
+    received = [vector for _, vector in pairs if _well_formed(vector, n)]
+    if not received:
+        return (0,) * n
     threshold = vote_threshold(n)
-    classification = tuple(
-        1 if sum(vector[j] for vector in received) >= threshold else 0
-        for j in range(n)
-    )
-    return classification
+    return tuple(1 if sum(column) >= threshold else 0
+                 for column in zip(*received))

@@ -17,25 +17,33 @@ The graph construction makes honest broadcasters mutually reachable through
 ``G`` (Lemmas 10-12), so the ``m`` values agree at core vertices, and the
 core's ``2k + 1`` copies dominate the plurality over at most ``3k + 1``
 candidates.
+
+Recipients with the same listen set build the same leader graph from the
+same honest broadcasts, so the plurality is read through
+:func:`~repro.net.message.reduce_by_tag` with the pure reducer
+:func:`leader_plurality` (arguments ``n`` and the listen set): computed
+once per round per listen set and shared.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Any, Dict, FrozenSet, Generator, Iterable, List, Set, Tuple
 
 from ..net.context import ProcessContext
-from ..net.message import Envelope, by_tag
-from ..util import most_frequent_value, value_sort_key
+from ..net.message import Envelope, Pairs, reduce_by_tag
+from ..util import is_hashable, most_frequent_value, value_sort_key
 
 
 def _well_formed(body: Any, n: int) -> bool:
+    """A ``(value, listen ids)`` pair; an unhashable value (never an honest
+    one) makes the message malformed, as if its sender stayed silent."""
     if not (isinstance(body, tuple) and len(body) == 2):
         return False
-    _, listen = body
+    value, listen = body
     return (
         isinstance(listen, (tuple, frozenset))
         and all(isinstance(j, int) and 0 <= j < n for j in listen)
+        and is_hashable(value)
     )
 
 
@@ -73,10 +81,18 @@ def conciliate(
         else []
     )
     inbox = yield outgoing
+    plurality = reduce_by_tag(inbox, tag, leader_plurality, ctx.n, listen)
+    if plurality is None:
+        return value
+    return plurality
 
+
+def leader_plurality(pairs: Pairs, n: int, listen: FrozenSet[int]) -> Any:
+    """The plurality of ``m[z]`` over ``z in T cap L`` for the leader graph
+    on the well-formed ``pairs``; ``None`` when there is none."""
     received: Dict[int, Tuple[Any, FrozenSet[int]]] = {}
-    for sender, body in by_tag(inbox, tag):
-        if _well_formed(body, ctx.n):
+    for sender, body in pairs:
+        if _well_formed(body, n):
             received[sender] = (body[0], frozenset(body[1]))
     vertices = set(received)
     listens = {z: received[z][1] for z in vertices}
@@ -89,8 +105,4 @@ def conciliate(
         ]
         if candidates:
             m_values.append(min(candidates, key=value_sort_key))
-
-    plurality = most_frequent_value(m_values)
-    if plurality is None:
-        return value
-    return plurality
+    return most_frequent_value(m_values)

@@ -30,7 +30,7 @@ from ..crypto.keys import KeyStore, Signature
 from ..net.context import ProcessContext
 from ..net.message import Envelope, by_tag
 from ..net.protocol import run_parallel
-from ..util import most_frequent_value
+from ..util import is_hashable, most_frequent_value
 
 
 def ba_with_classification_auth(
@@ -92,6 +92,8 @@ def ba_with_classification_auth(
         if not (isinstance(body, tuple) and len(body) == 2):
             continue
         sender_value, sender_cert = body
+        if not is_hashable(sender_value):
+            continue  # never an honest announcement: count it as silence
         # is_committee_certificate memoizes per (cert object, sender) inside
         # the keystore, so each announcer's broadcast certificate is checked
         # once per execution, not once per recipient.

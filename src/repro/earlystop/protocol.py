@@ -39,6 +39,7 @@ from typing import Any, Generator, List
 from ..gradecast.unauth import graded_consensus_3
 from ..net.context import ProcessContext
 from ..net.message import Envelope, by_tag
+from ..util import is_hashable
 
 
 def ba_early_stopping(
@@ -57,7 +58,10 @@ def ba_early_stopping(
         king_tag = tag + (phase, "king")
         outgoing = ctx.broadcast(king_tag, value) if ctx.pid == king else []
         inbox = yield outgoing
-        king_values = [body for sender, body in by_tag(inbox, king_tag) if sender == king]
+        king_values = [
+            body for sender, body in by_tag(inbox, king_tag)
+            if sender == king and is_hashable(body)
+        ]
         if grade < 2 and king_values:
             value = king_values[0]
 

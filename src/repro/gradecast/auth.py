@@ -28,6 +28,7 @@ from ..crypto.keys import KeyStore, Signature
 from ..net.context import ProcessContext
 from ..net.message import Envelope, by_tag
 from ..perf import memoized_check
+from ..util import is_hashable
 
 
 def _echo_message(tag: tuple, value: Any) -> tuple:
@@ -93,7 +94,9 @@ def graded_consensus_auth(
     inbox = yield ctx.broadcast(round1_tag, (value, my_sig))
     echo_sigs: dict = {}
     for sender, body in by_tag(inbox, round1_tag):
-        if not (isinstance(body, tuple) and len(body) == 2):
+        # An unhashable value is never an honest echo: ignore it as silence.
+        if not (isinstance(body, tuple) and len(body) == 2
+                and is_hashable(body[0])):
             continue
         if _valid_echo(body, sender, tag, keystore):
             echoed, sig = body
@@ -125,7 +128,7 @@ def graded_consensus_auth(
         if not (isinstance(body, tuple) and len(body) == 2):
             continue
         lock_value, cert = body
-        if not isinstance(cert, tuple):
+        if not isinstance(cert, tuple) or not is_hashable(lock_value):
             continue
         if _certified_lock(body, tag, quorum, keystore):
             lock_counts[lock_value] += 1

@@ -16,25 +16,29 @@ honest ``i``:
 
 Without the conditions the protocol still terminates in exactly 2 rounds
 with each speaking process sending at most ``2n`` messages.
+
+Recipients with the same listen set count the same honest broadcasts, so
+the counts are read through :func:`~repro.net.message.reduce_by_tag` with
+the pure reducer :func:`listen_counts` (the listen set is its argument):
+computed once per round per listen set, shared read-only.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Any, Generator, Iterable, List, Tuple
+from typing import Any, Dict, Generator, Iterable, List, Tuple
 
 from ..net.context import ProcessContext
-from ..net.message import Envelope, by_tag
-from ..util import most_frequent_value
+from ..net.message import Envelope, Pairs, reduce_by_tag
+from ..util import most_common_value
+from .unauth import body_counts
 
 NO_VALUE = ("gc-bottom",)  # internal stand-in for the paper's "bot"
 
 
-def _counts_from(inbox: List[Envelope], tag: tuple, listen_set: frozenset) -> Counter:
-    """Count values received under ``tag`` from senders in the listen set."""
-    return Counter(
-        body for sender, body in by_tag(inbox, tag) if sender in listen_set
-    )
+def listen_counts(pairs: Pairs, listen_set: frozenset) -> Dict[Any, int]:
+    """:func:`~repro.gradecast.unauth.body_counts` over the senders in the
+    listen set."""
+    return body_counts([pair for pair in pairs if pair[0] in listen_set])
 
 
 def graded_consensus_with_core_set(
@@ -52,7 +56,7 @@ def graded_consensus_with_core_set(
     round1_tag = tag + ("r1",)
     outgoing = ctx.broadcast(round1_tag, value) if speaking else []
     inbox = yield outgoing
-    counts = _counts_from(inbox, round1_tag, listen)
+    counts = reduce_by_tag(inbox, round1_tag, listen_counts, listen)
     locked = NO_VALUE
     for candidate, count in counts.items():
         if count >= 2 * k + 1:
@@ -67,13 +71,13 @@ def graded_consensus_with_core_set(
         else []
     )
     inbox = yield outgoing
-    counts = _counts_from(inbox, round2_tag, listen)
+    counts = reduce_by_tag(inbox, round2_tag, listen_counts, listen)
 
     if locked is not NO_VALUE:
-        if counts[locked] >= 2 * k + 1:
+        if counts.get(locked, 0) >= 2 * k + 1:
             return (locked, 1)
         return (locked, 0)
-    fallback = most_frequent_value(counts.elements(), min_count=k + 1)
+    fallback = most_common_value(counts, min_count=k + 1)
     if fallback is not None:
         return (fallback, 0)
     return (value, 0)

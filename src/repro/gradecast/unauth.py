@@ -25,21 +25,41 @@ double-voter -- impossible.  So all honest round-2 broadcasts carry one
 value ``v``; ``n - t`` round-2 copies imply every honest process sees at
 least ``n - 2t >= t + 1`` copies of ``v`` while no other value can reach
 ``t + 1``.
+
+Every recipient of a round counts the same honest broadcasts, so the counts
+are read through :func:`~repro.net.message.reduce_by_tag` with the pure
+reducer :func:`body_counts`: the round computes them once for every
+recipient no adversary envelope under the tag reaches, and all of those
+share the one (read-only) dict.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Any, Generator, List, Tuple
+from typing import Any, Dict, Generator, List, Mapping, Tuple
 
 from ..net.context import ProcessContext
-from ..net.message import Envelope, by_tag
-from ..util import most_frequent_value
+from ..net.message import Envelope, Pairs, reduce_by_tag
+from ..util import most_common_value
 
 _BOTTOM = ("gc-bottom",)
 
 
-def _lock_value(counts: Counter, quorum: int) -> Any:
+def body_counts(pairs: Pairs) -> Dict[Any, int]:
+    """How many senders sent each body, in first-seen order.
+
+    An unhashable body is skipped: no honest process sends one, so the
+    faulty sender counts as silent.
+    """
+    counts: Dict[Any, int] = {}
+    for _, body in pairs:
+        try:
+            counts[body] = counts.get(body, 0) + 1
+        except TypeError:
+            continue
+    return counts
+
+
+def _lock_value(counts: Mapping[Any, int], quorum: int) -> Any:
     for candidate, count in counts.items():
         if count >= quorum:
             return candidate
@@ -53,17 +73,16 @@ def graded_consensus(
     quorum = ctx.n - ctx.t
     round1_tag = tag + ("r1",)
     inbox = yield ctx.broadcast(round1_tag, value)
-    counts = Counter(body for _, body in by_tag(inbox, round1_tag))
-    locked = _lock_value(counts, quorum)
+    locked = _lock_value(reduce_by_tag(inbox, round1_tag, body_counts), quorum)
 
     round2_tag = tag + ("r2",)
     outgoing = ctx.broadcast(round2_tag, locked) if locked is not _BOTTOM else []
     inbox = yield outgoing
-    counts = Counter(body for _, body in by_tag(inbox, round2_tag))
+    counts = reduce_by_tag(inbox, round2_tag, body_counts)
 
     if locked is not _BOTTOM:
-        return (locked, 1 if counts[locked] >= quorum else 0)
-    supported = most_frequent_value(counts.elements(), min_count=ctx.t + 1)
+        return (locked, 1 if counts.get(locked, 0) >= quorum else 0)
+    supported = most_common_value(counts, min_count=ctx.t + 1)
     if supported is not None:
         return (supported, 0)
     return (value, 0)
@@ -76,18 +95,17 @@ def graded_consensus_3(
     quorum = ctx.n - ctx.t
     round1_tag = tag + ("r1",)
     inbox = yield ctx.broadcast(round1_tag, value)
-    counts = Counter(body for _, body in by_tag(inbox, round1_tag))
-    locked = _lock_value(counts, quorum)
+    locked = _lock_value(reduce_by_tag(inbox, round1_tag, body_counts), quorum)
 
     round2_tag = tag + ("r2",)
     outgoing = ctx.broadcast(round2_tag, locked) if locked is not _BOTTOM else []
     inbox = yield outgoing
-    counts = Counter(body for _, body in by_tag(inbox, round2_tag))
+    counts = reduce_by_tag(inbox, round2_tag, body_counts)
 
-    confirmed = most_frequent_value(counts.elements(), min_count=quorum)
+    confirmed = most_common_value(counts, min_count=quorum)
     if confirmed is not None:
         return (confirmed, 2)
-    supported = most_frequent_value(counts.elements(), min_count=ctx.t + 1)
+    supported = most_common_value(counts, min_count=ctx.t + 1)
     if supported is not None:
         return (supported, 1)
     return (value, 0)

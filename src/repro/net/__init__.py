@@ -8,6 +8,7 @@ from .message import (
     Envelope,
     by_tag,
     by_tag_all,
+    reduce_by_tag,
     senders_of,
     tagged,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "by_tag_all",
     "idle",
     "payload_bits",
+    "reduce_by_tag",
     "run_exactly",
     "run_parallel",
     "run_to_completion",

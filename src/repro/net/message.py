@@ -18,6 +18,12 @@ exactly the envelope sequence the expanded broadcasts would have produced:
 honest sends in sender order (each sender's in the order it yielded them),
 then the adversary's envelopes in the order it emitted them.
 
+The protocols are all-to-all, so most recipients of a round read the same
+honest messages under a tag.  :func:`reduce_by_tag` lets them share the
+read itself: a recipient whose view under the tag is exactly the round's
+broadcasts gets the one result the round computed for every such
+recipient, instead of recounting the same bodies.
+
 Payload convention
 ------------------
 Every payload produced by the honest protocol implementations in this
@@ -36,6 +42,7 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Collection,
     Dict,
     Iterable,
@@ -160,6 +167,8 @@ class RoundTraffic(_Lazy):
         #: tag -> ``(pairs, first per sender)`` over the broadcasts;
         #: ``None`` until built or when a tag is unhashable.
         self._index: Optional[Dict[Any, Tuple[Pairs, Pairs]]] = None
+        #: ``(tag, reduce, args)`` -> the shared result (see :meth:`reduced`).
+        self._reduced: Dict[Tuple[Any, Callable[..., Any], tuple], Any] = {}
 
     def add(self, sends: Iterable[Send]) -> None:
         """Append one process's (validated) sends for this round."""
@@ -169,12 +178,6 @@ class RoundTraffic(_Lazy):
             else:
                 self.direct.setdefault(item.recipient, []).append(item)
             self.sends.append(item)
-
-    def counted(self) -> Iterator[Tuple[Send, int]]:
-        """Each send with the number of envelopes it stands for."""
-        n = self.n
-        for item in self.sends:
-            yield item, (n if type(item) is Broadcast else 1)
 
     def __len__(self) -> int:
         return self.n * self.broadcasts + len(self.sends) - self.broadcasts
@@ -248,6 +251,28 @@ class RoundTraffic(_Lazy):
                 return pairs, _first_per_sender(pairs)
         return entry
 
+    def reduced(self, tag: Any, reduce: Callable[..., Any], args: tuple) -> Any:
+        """``reduce(first-per-sender broadcast pairs under tag, *args)``,
+        computed once per round per ``(tag, reduce, args)`` and shared;
+        :data:`_UNSHARED` when the round is unindexed or ``tag`` or
+        ``args`` is unhashable."""
+        index = self._index
+        if index is None:
+            return _UNSHARED
+        key = (tag, reduce, args)
+        try:
+            return self._reduced[key]
+        except KeyError:
+            pass
+        except TypeError:
+            return _UNSHARED
+        result = reduce(list(index.get(tag, _EMPTY_ENTRY)[1]), *args)
+        self._reduced[key] = result
+        return result
+
+
+#: :meth:`RoundTraffic.reduced`'s answer when it has no shared result.
+_UNSHARED = object()
 
 _EMPTY_ENTRY: Tuple[Pairs, Pairs] = ([], [])
 
@@ -312,6 +337,20 @@ class Inbox(_Addressed):
             out.extend(_scan(self._extra, tag))
         return out
 
+    def reduce_by_tag(self, tag: Any, reduce: Callable[..., Any],
+                      args: tuple) -> Any:
+        """:func:`reduce_by_tag` on this inbox: the round's shared result
+        unless a point-to-point or adversary envelope under ``tag`` makes
+        this view its own."""
+        traffic = self._traffic
+        direct = traffic.direct.get(self.recipient)
+        if not ((direct and _scan(direct, tag))
+                or (self._extra and _scan(self._extra, tag))):
+            result = traffic.reduced(tag, reduce, args)
+            if result is not _UNSHARED:
+                return result
+        return reduce(self.by_tag(tag), *args)
+
 
 def _scan(envelopes: Iterable[Envelope], tag: Any) -> Pairs:
     """``(sender, body)`` of every envelope whose payload tag equals ``tag``."""
@@ -359,6 +398,30 @@ def by_tag_all(inbox: Iterable[Envelope], tag: Tuple) -> Pairs:
     if type(inbox) is Inbox:
         return inbox.by_tag_all(tag)
     return _scan(inbox, tag)
+
+
+def reduce_by_tag(inbox: Iterable[Envelope], tag: Tuple,
+                  reduce: Callable[..., Any], *args: Any) -> Any:
+    """``reduce(by_tag(inbox, tag), *args)``, shared across the round.
+
+    An honest inbox that no point-to-point or adversary envelope under
+    ``tag`` reaches sees exactly the round's honest broadcasts under it,
+    as every other such inbox does; for those the result is computed once
+    per round per ``(tag, reduce, args)`` and every one of them gets the
+    same object.  Any other inbox, and a plain envelope list (a ghost's),
+    computes its own.  Hence the contract:
+
+    * ``reduce`` is a module-level pure function of the pairs and
+      ``args`` -- the cache keys on the function object, so a fresh
+      lambda or closure per call would never be shared;
+    * ``args`` are hashable, and equal ``args`` mean the same result
+      (unhashable ``args`` just compute per recipient);
+    * the result is read-only: it may be the object other recipients
+      hold, so callers never mutate it.
+    """
+    if type(inbox) is Inbox:
+        return inbox.reduce_by_tag(tag, reduce, args)
+    return reduce(_first_per_sender(_scan(inbox, tag)), *args)
 
 
 def senders_of(pairs: Sequence[Tuple[int, Any]]) -> List[int]:

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .message import Envelope, RoundTraffic
+from .message import Broadcast, Envelope, RoundTraffic
 
 
 def payload_bits(payload: Any) -> int:
@@ -31,7 +31,23 @@ def payload_bits(payload: Any) -> int:
     items.  Unknown objects fall back to the length of their ``repr``.  The
     estimate only needs to be consistent across runs so that communication
     *growth rates* are measured faithfully.
+
+    Exact ``int``, ``str`` and ``tuple`` -- nearly everything honest
+    protocols send -- take a type-dispatched fast path; everything else,
+    subclasses included, goes through :func:`_walk_bits`.
     """
+    kind = type(payload)
+    if kind is int:
+        return payload.bit_length() or 1
+    if kind is str:
+        return 8 * len(payload)
+    if kind is tuple:
+        return sum(map(payload_bits, payload)) + 2
+    return _walk_bits(payload)
+
+
+def _walk_bits(payload: Any) -> int:
+    """:func:`payload_bits` by ``isinstance`` dispatch."""
     if payload is None or isinstance(payload, bool):
         return 1
     if isinstance(payload, int):
@@ -63,9 +79,27 @@ def _component_of(payload: Any) -> str:
     return "<untagged>"
 
 
+_PLAIN_PARTS = frozenset((str, int))
+
+
+def _tag_charge(tag: Any) -> Tuple[int, str]:
+    """``(bits, component)`` of a payload ``(tag, body)`` minus the body's
+    bits: what every payload with this tag is charged besides its body."""
+    return payload_bits(tag) + 2, _component_of((tag, None))
+
+
 @dataclass
 class MetricsCollector:
-    """Accumulates round and message statistics for one execution."""
+    """Accumulates round and message statistics for one execution.
+
+    Every payload under one tag carries the same tag bits and component,
+    so :meth:`record_sends` charges a tag once per execution through a
+    memo.  Dict lookup matches ``("b", 1)``, ``("b", True)`` and
+    ``("b", 1.0)`` as one key although their bits and components differ,
+    so the memo holds, and is consulted for, only tuple tags whose parts
+    are all exactly ``str`` or ``int``: equal tags of that kind are the
+    same tag.  Every other tag is charged per send.
+    """
 
     honest_messages: int = 0
     honest_bits: int = 0
@@ -74,6 +108,8 @@ class MetricsCollector:
     per_process: Counter = field(default_factory=Counter)
     per_component: Counter = field(default_factory=Counter)
     decision_round: Dict[int, int] = field(default_factory=dict)
+    _tag_memo: Dict[tuple, Tuple[int, str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def record_round(self) -> None:
         self.rounds += 1
@@ -92,16 +128,42 @@ class MetricsCollector:
         """
         if not traffic:
             return
-        sends = (traffic.counted() if isinstance(traffic, RoundTraffic)
-                 else ((env, 1) for env in traffic))
-        per_process = self.per_process
-        per_component = self.per_component
+        if isinstance(traffic, RoundTraffic):
+            sends: Sequence[Any] = traffic.sends
+            n = traffic.n
+        else:
+            sends, n = traffic, 1
+        memo = self._tag_memo
+        processes: Dict[int, int] = {}
+        components: Dict[str, int] = {}
         bits = 0
-        for send, copies in sends:
+        for send in sends:
+            copies = n if type(send) is Broadcast else 1
             payload = send.payload
-            bits += payload_bits(payload) * copies
-            per_process[send.sender] += copies
-            per_component[_component_of(payload)] += copies
+            if type(payload) is tuple and len(payload) == 2:
+                tag, body = payload
+                if type(tag) is tuple and _PLAIN_PARTS.issuperset(map(type, tag)):
+                    charge = memo.get(tag)
+                    if charge is None:
+                        charge = memo[tag] = _tag_charge(tag)
+                else:
+                    charge = _tag_charge(tag)
+                bits += (charge[0] + payload_bits(body)) * copies
+                component = charge[1]
+            else:
+                bits += payload_bits(payload) * copies
+                component = _component_of(payload)
+            sender = send.sender
+            processes[sender] = processes.get(sender, 0) + copies
+            components[component] = components.get(component, 0) + copies
+        # Folding the round's plain dicts in first-seen order keeps the
+        # counters' key order what per-send increments would give.
+        per_process = self.per_process
+        for sender, copies in processes.items():
+            per_process[sender] += copies
+        per_component = self.per_component
+        for component, copies in components.items():
+            per_component[component] += copies
         self.honest_messages += len(traffic)
         self.honest_bits += bits
         if self.per_round:

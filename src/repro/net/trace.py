@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-from .message import Envelope, RoundTraffic
+from .message import Broadcast, Envelope, RoundTraffic
 from .metrics import _component_of
 
 
@@ -44,7 +44,9 @@ class Tracer:
         faulty_out: List[Envelope],
     ) -> None:
         components: Counter = Counter()
-        for send, copies in honest_out.counted():
+        n = honest_out.n
+        for send in honest_out.sends:
+            copies = n if type(send) is Broadcast else 1
             components[_component_of(send.payload)] += copies
         self.rounds.append(
             RoundRecord(

@@ -15,8 +15,8 @@ repository:
   one :class:`Backend` contract: :class:`SerialBackend` (reference
   semantics), :class:`PoolBackend` (``multiprocessing``), and
   :class:`SocketBackend` (TCP workers started with ``python -m repro
-  worker``, with hash-space sharding, heartbeats, and dead-worker
-  requeue);
+  worker``, with hash-space sharding, work stealing, heartbeats, and
+  dead-worker requeue);
 * :mod:`~repro.runtime.runner` -- :class:`CampaignRunner`, the thin
   orchestrator (store cache, dedup, ordering, writer lock) over any
   backend; output is bit-identical whichever backend runs it;

@@ -7,8 +7,8 @@ implementations:
 * :class:`PoolBackend` -- the classic ``multiprocessing`` pool (one
   machine, many cores);
 * :class:`SocketBackend` -- TCP workers started with ``python -m repro
-  worker --serve HOST:PORT`` (many machines), with hash-space sharding,
-  heartbeat liveness, automatic requeue from dead workers, reconnect
+  worker --serve HOST:PORT`` (many machines), with hash-space sharding
+  and work stealing, heartbeat liveness, automatic requeue from dead workers, reconnect
   with backoff, poison-job quarantine, and graceful degradation to
   local execution (see :mod:`~repro.runtime.backends.socketbackend`);
   :class:`ChaosPolicy` (:mod:`~repro.runtime.backends.chaos`) injects

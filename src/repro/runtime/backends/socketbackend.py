@@ -3,11 +3,14 @@
 The driver connects to every ``HOST:PORT`` it was given, handshakes
 (protocol version check, see :mod:`~repro.runtime.backends.wire`), and
 shards the pending scenarios across the connected workers by content
-hash -- ``int(hash, 16) % workers`` -- so the assignment is deterministic
-for a given worker count and independent of dict/queue ordering.  One
-driver thread per worker keeps a small window of scenarios in flight --
-one ``job`` frame each, answered by one ``result`` frame -- and enforces
-liveness:
+hash -- ``int(hash, 16) % workers`` -- so the initial assignment is
+deterministic for a given worker count and independent of dict/queue
+ordering.  One driver thread per worker keeps a small window of
+scenarios in flight -- one ``job`` frame each, answered by one
+``result`` frame.  A driver whose own share has run out steals queued
+jobs from the peer with the longest queue, so a worker that drew a
+cheaper share (or a faster CPU) never idles while a peer still has a
+backlog.  Each driver also enforces liveness:
 
 * a worker that closes its socket (killed process, network drop) is dead
   immediately;
@@ -28,8 +31,8 @@ The backend assumes failure is normal, not exceptional:
   before giving up on an address;
 * **reconnect** -- a background :class:`_Reconnector` keeps redialing
   addresses that were unreachable or died mid-campaign; a worker that
-  comes (back) up joins the fleet mid-run and queued work is resharded
-  onto it (stateless workers + the versioned handshake make this safe);
+  comes (back) up joins the fleet mid-run and steals queued work from
+  its peers (stateless workers + the versioned handshake make this safe);
 * **quarantine** -- a scenario whose executor dies ``quarantine_after``
   distinct times is *suspected poison*: it is retried once in an
   isolated local subprocess, and only if that probe also crashes is it
@@ -185,6 +188,34 @@ class _WorkerLink:
         """Queue one job, stamped with its enqueue time (queue-wait phase)."""
         self.jobs.put((key, spec, time.perf_counter()))
 
+    def take(self, peers: Sequence["_WorkerLink"], block: bool) -> Any:
+        """The next item for this link's driver thread.
+
+        The link's own queue comes first.  When it is empty, one job is
+        stolen from the peer with the longest queue: hash shares differ
+        in size and cost, and without stealing a worker whose share ran
+        out would idle while a peer still has a backlog.  A peer's
+        ``_DONE`` sentinel is put back, never taken.  With nothing to
+        take, this blocks on the link's own queue if ``block`` is set
+        and raises ``queue.Empty`` otherwise.
+        """
+        try:
+            return self.jobs.get_nowait()
+        except queue.Empty:
+            pass
+        others = [peer for peer in peers if peer is not self]
+        others.sort(key=lambda peer: peer.jobs.qsize(), reverse=True)
+        for peer in others:
+            try:
+                item = peer.jobs.get_nowait()
+            except queue.Empty:
+                continue
+            if item is _DONE:
+                peer.jobs.put(_DONE)
+                continue
+            return item
+        return self.jobs.get(block=block)
+
     def drain_jobs(self) -> List[Job]:
         """Empty the job queue, dropping ``_DONE`` sentinels.
 
@@ -220,9 +251,10 @@ class _Reconnector:
     called for addresses unreachable at connect time and for links that
     die mid-campaign; each successful redial is announced on the
     backend's event queue as a ``("joined", link, None)`` event, which
-    the submit loop turns into a live driver thread plus a reshard of
-    queued work.  Stateless workers make rejoin safe: the fresh handshake
-    re-checks the protocol version and the new link starts empty.
+    the submit loop turns into a live driver thread that steals queued
+    work from its peers.  Stateless workers make rejoin safe: the fresh
+    handshake re-checks the protocol version and the new link starts
+    empty.
     """
 
     def __init__(self, backend: "SocketBackend",
@@ -243,7 +275,18 @@ class _Reconnector:
         self._thread.start()
 
     def stop(self) -> None:
+        """Stop redialing and join the thread (for at most one connect
+        deadline plus a second).
+
+        A redial that lands while stopping has either posted its link on
+        the event queue by the time this returns, so a drain after
+        ``stop()`` closes it, or sees the stop flag and closes the link
+        itself -- as does a handshake still running when the join gives
+        up.
+        """
         self._stop.set()
+        if self._thread.ident is not None:
+            self._thread.join(timeout=self._backend.connect_timeout + 1.0)
 
     def mark_down(self, address: str) -> None:
         """Schedule ``address`` for redialing (idempotent while down)."""
@@ -289,9 +332,11 @@ class _Submission:
     link, payload)`` events; the submit loop hands each to the handler
     of its kind -- :meth:`on_result`, :meth:`on_dead`, :meth:`on_joined`,
     :meth:`on_probed` -- and runs :meth:`degrade` between events.  Each
-    handler returns the results it settled.  Every field is read and
-    written only on the submit thread: the other threads just post
-    events, so no handler needs a lock.
+    handler returns the results it settled.  Every field is written only
+    on the submit thread: the other threads just post events, so no
+    handler needs a lock.  Driver threads read two things besides their
+    own link: ``live``, to pick a peer to steal from, and the peers' job
+    queues, which are thread-safe.
     """
 
     def __init__(self, backend: "SocketBackend", pending: List[Job],
@@ -342,7 +387,9 @@ class _Submission:
         self.threads.append(thread)
 
     def start_driver(self, link: _WorkerLink) -> None:
-        self.spawn(self.backend._drive, (link, self.events),
+        # The driver reads ``live`` to pick a peer to steal from: a
+        # GIL-atomic read of a list only this thread rebinds or appends to.
+        self.spawn(self.backend._drive, (link, self.events, lambda: self.live),
                    f"socket-driver:{link.ident}")
 
     def start_probe(self, job: Job) -> None:
@@ -395,10 +442,10 @@ class _Submission:
                 self.deaths.setdefault(key, set()).add(link.ident)
         # The driver thread drained its queue before posting this event,
         # but if another worker died first, the submit loop may have
-        # requeued jobs onto the link in that window -- jobs no thread
-        # will ever read.  Requeue puts happen only on the submit thread,
-        # so draining here, after removing the link from ``live``, is
-        # final.
+        # requeued jobs onto the link in that window -- jobs its own
+        # driver will never read (a peer may steal some, not all).
+        # Requeue puts happen only on the submit thread, so draining
+        # here, after removing the link from ``live``, is final.
         salvaged = inflight_jobs + queued_jobs + link.drain_jobs()
         self.telemetry.event("socket.worker_dead", worker=link.address,
                              ident=link.ident, salvaged=len(salvaged))
@@ -432,17 +479,12 @@ class _Submission:
         metrics.inc("socket.reconnects")
         self.degrade_deadline = None
         self.start_driver(link)
-        # Reshard: the newcomer takes its hash share of the queued (not
-        # in-flight) work plus anything stranded.
-        pool: Dict[str, Job] = dict(self.unassigned)
-        self.unassigned.clear()
-        for peer in self.live:
-            if peer is not link:
-                for job in peer.drain_jobs():
-                    pool.setdefault(job[0], job)
-        for key, job in pool.items():
+        # Work stranded while no link was live goes to the newcomer.  Next
+        # to live peers it starts empty and steals from their queues.
+        for key, job in self.unassigned.items():
             if key in self.remaining and key not in self.probing:
-                self.live[_shard(key, len(self.live))].enqueue(*job)
+                link.enqueue(*job)
+        self.unassigned.clear()
         return []
 
     def on_probed(self, link: None, payload: Tuple[Job, Any]) -> List[JobResult]:
@@ -918,6 +960,7 @@ class SocketBackend(Backend):
         self,
         link: _WorkerLink,
         events: "queue.Queue[_Event]",
+        peers: Callable[[], Sequence[_WorkerLink]],
     ) -> None:
         telemetry = current()
         occupancy = _Occupancy() if telemetry.enabled else None
@@ -925,7 +968,8 @@ class SocketBackend(Backend):
         inflight: Dict[str, List[Any]] = {}
         try:
             while True:
-                self._fill_window(link, inflight, telemetry, occupancy)
+                self._fill_window(link, peers(), inflight, telemetry,
+                                  occupancy)
                 if link.finishing and not inflight:
                     self._farewell(link)
                     return
@@ -1019,15 +1063,18 @@ class SocketBackend(Backend):
     def _fill_window(
         self,
         link: _WorkerLink,
+        peers: Sequence[_WorkerLink],
         inflight: Dict[str, List[Any]],
         telemetry: Telemetry,
         occupancy: Optional[_Occupancy],
     ) -> None:
         """Top up the in-flight window, one ``job`` frame per queued
-        scenario; block on the queue only when nothing is in flight."""
+        scenario (stolen from ``peers`` once the link's own queue is
+        empty, see :meth:`_WorkerLink.take`); block on the queue only
+        when nothing is in flight."""
         while not link.finishing and len(inflight) < self.window:
             try:
-                item = link.jobs.get(block=not inflight)
+                item = link.take(peers, block=not inflight)
             except queue.Empty:
                 return
             if item is _DONE:

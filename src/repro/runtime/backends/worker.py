@@ -243,6 +243,13 @@ class WorkerServer:
             return
         registered = conn  # the registry key; conn may become a wrapper
         _enable_keepalive(conn)
+        try:
+            # Result frames are small: with Nagle on, a frame waits for the
+            # driver's ACK of the previous one, a delayed-ACK stall (up to
+            # ~40 ms) on the last results of every campaign.
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:
+            pass  # latency tuning only: the session works without it
         peer_name = f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) else str(peer)
         if self.chaos is not None:
             # Disarmed through the handshake: chaos may destroy sessions,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Mapping, Optional, Tuple
 
 
 def value_sort_key(value: Any) -> Tuple[str, str]:
@@ -18,12 +18,26 @@ def value_sort_key(value: Any) -> Tuple[str, str]:
     return (type(value).__name__, repr(value))
 
 
-def most_frequent_value(
-    values: Iterable[Any], min_count: int = 1
+def is_hashable(value: Any) -> bool:
+    """Whether ``value`` can be counted (used as a dict key).
+
+    Honest processes only ever send hashable values, so protocols ignore
+    an unhashable one -- a Byzantine list where a value belongs -- exactly
+    as if its faulty sender had stayed silent.
+    """
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def most_common_value(
+    counts: Mapping[Any, int], min_count: int = 1
 ) -> Optional[Any]:
-    """The value occurring most often, smallest (by :func:`value_sort_key`)
-    among ties; ``None`` if no value reaches ``min_count``."""
-    counts = Counter(values)
+    """The value with the highest count, smallest (by
+    :func:`value_sort_key`) among ties; ``None`` if no count reaches
+    ``min_count``."""
     if not counts:
         return None
     best_count = max(counts.values())
@@ -31,6 +45,14 @@ def most_frequent_value(
         return None
     candidates: List[Any] = [v for v, c in counts.items() if c == best_count]
     return min(candidates, key=value_sort_key)
+
+
+def most_frequent_value(
+    values: Iterable[Any], min_count: int = 1
+) -> Optional[Any]:
+    """The value occurring most often, smallest (by :func:`value_sort_key`)
+    among ties; ``None`` if no value reaches ``min_count``."""
+    return most_common_value(Counter(values), min_count)
 
 
 def values_with_count_at_least(values: Iterable[Any], threshold: int) -> List[Any]:

@@ -11,8 +11,10 @@ content hash.
 import json
 import logging
 import os
+import queue
 import socket as socket_module
 import threading
+import time
 import zlib
 
 import pytest
@@ -331,6 +333,35 @@ class TestBackendEquivalence:
         assert "error" in result.rows[0]
         assert "exceeds capacity" in result.rows[0]["error"]
 
+    def test_fast_worker_steals_a_slow_workers_share(self):
+        # A worker that takes 200 ms per job next to one that takes a
+        # few: once the fast worker's hash share is done it must take
+        # over the slow worker's queued jobs, and rows still match serial.
+        class SlowWorker(WorkerServer):
+            def _run_job(self, doc, telemetry):
+                time.sleep(0.2)
+                return super()._run_job(doc, telemetry)
+
+        specs = GRID_30.expand()[:16]
+        fast, slow = WorkerServer(), SlowWorker()
+        fast.start()
+        slow.start()
+        try:
+            backend = SocketBackend([fast.address, slow.address], window=1,
+                                    job_timeout=60.0)
+            result = run_campaign(specs, backend=backend)
+            assert result.rows == run_campaign(specs, backend=SerialBackend()).rows
+            slow_share = sum(
+                _shard(spec.scenario_hash(), 2) == 1 for spec in specs
+            )
+            per_worker = backend.last_stats["per_worker"]
+            assert slow_share >= 4
+            assert per_worker[slow.address] < slow_share, per_worker
+            assert sum(per_worker.values()) == len(specs)
+        finally:
+            fast.stop()
+            slow.stop()
+
 
 class TestExperimentEquivalence:
     """ISSUE acceptance: campaigns built through the v1 ``Experiment``
@@ -505,6 +536,29 @@ class TestSocketBackendSetup:
             shards = [_shard(key, workers) for key in keys]
             assert shards == [_shard(key, workers) for key in keys]
             assert set(shards) <= set(range(workers))
+
+    def test_take_steals_from_the_longest_peer_queue_only_when_idle(self):
+        link, short, long_ = (
+            socketbackend_module._WorkerLink(f"h:{port}", None)
+            for port in (1, 2, 3)
+        )
+        link.enqueue("own", None)
+        short.enqueue("s1", None)
+        long_.enqueue("l1", None)
+        long_.enqueue("l2", None)
+        peers = [link, short, long_]
+        assert link.take(peers, block=False)[0] == "own"
+        assert link.take(peers, block=False)[0] == "l1"
+        assert [link.take(peers, block=False)[0] for _ in range(2)] in (
+            ["s1", "l2"], ["l2", "s1"],
+        )
+        with pytest.raises(queue.Empty):
+            link.take(peers, block=False)
+        # A peer's sentinel stays with the peer: its driver must see it.
+        short.jobs.put(socketbackend_module._DONE)
+        with pytest.raises(queue.Empty):
+            link.take(peers, block=False)
+        assert short.jobs.get_nowait() is socketbackend_module._DONE
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

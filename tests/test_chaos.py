@@ -14,6 +14,7 @@ as a structured failure row instead of taking the campaign down.
 import json
 import multiprocessing
 import os
+import queue
 import socket as socket_module
 import subprocess
 import sys
@@ -35,7 +36,7 @@ from repro.runtime import (
 )
 from repro.runtime.backends.base import POISON_ENV, quarantine_row
 from repro.runtime.backends.chaos import ACTIONS, ChaosInjected, ChaosSocket
-from repro.runtime.backends.socketbackend import _isolated_executor
+from repro.runtime.backends.socketbackend import _isolated_executor, _Reconnector
 from repro.runtime.backends.wire import (
     PROTOCOL_VERSION,
     WireError,
@@ -255,6 +256,36 @@ class TestReconnect:
             healthy.stop()
             late.stop()
 
+    def test_joined_worker_steals_queued_work(self):
+        # A worker that joins mid-campaign starts with an empty queue; it
+        # must take jobs still queued for its busy peer.
+        class SlowWorker(WorkerServer):
+            def _run_job(self, doc, telemetry):
+                time.sleep(0.1)
+                return super()._run_job(doc, telemetry)
+
+        late_port = free_port()
+        busy = SlowWorker()
+        busy.start()
+        late = WorkerServer(port=late_port)
+        starter = threading.Timer(0.2, late.start)
+        try:
+            serial = run_campaign(GRID_12, backend=SerialBackend()).rows
+            backend = SocketBackend(
+                [busy.address, f"127.0.0.1:{late_port}"],
+                job_timeout=60.0, connect_retries=0, backoff=0.05,
+            )
+            starter.start()
+            result = run_campaign(GRID_12, backend=backend)
+            assert result.rows == serial
+            assert backend.last_stats["reconnects"] == 1
+            per_worker = backend.last_stats["per_worker"]
+            assert per_worker[f"127.0.0.1:{late_port}"] > 0, per_worker
+        finally:
+            starter.cancel()
+            busy.stop()
+            late.stop()
+
     def test_reconnect_disabled_leaves_down_addresses_down(self):
         late_port = free_port()
         healthy = WorkerServer()
@@ -271,6 +302,39 @@ class TestReconnect:
             assert backend.last_stats["reconnects"] == 0
         finally:
             healthy.stop()
+
+
+class TestReconnectorStop:
+    def test_stop_joins_the_thread_and_closes_a_late_link(self):
+        # The redial is still inside _open_link when stop() is called; its
+        # link arrives after that.  When stop() returns the thread must be
+        # gone and the link closed, not left for nobody to drain.
+        class Link:
+            ident = "late#g1"
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+        class Backend:
+            backoff = 0.0
+            connect_timeout = 5.0
+            link = Link()
+            dialing = threading.Event()
+
+            def _open_link(self, address):
+                self.dialing.set()
+                reconnector._stop.wait()  # blocks until stop() is called
+                return self.link
+
+        backend = Backend()
+        reconnector = _Reconnector(backend, queue.Queue())
+        reconnector.mark_down("127.0.0.1:1")
+        reconnector.start()
+        assert backend.dialing.wait(5.0)
+        reconnector.stop()
+        assert not reconnector._thread.is_alive()
+        assert backend.link.closed
 
 
 class TestDegradation:

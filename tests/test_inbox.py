@@ -6,6 +6,8 @@ index, and the adversary's view expands it on demand.  The reference here
 is the per-envelope engine it replaced: every broadcast expanded to ``n``
 envelopes, each recipient's inbox its honest envelopes in send order
 followed by the adversary's, read by the plain ``by_tag`` loops below.
+Shared reads (``reduce_by_tag``) and per-tag accounting are held to the
+same reference.
 """
 
 from collections import Counter
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.adversary import ScriptedAdversary
 from repro.core.api import run_protocol
-from repro.net import Broadcast, Envelope, by_tag, by_tag_all
+from repro.net import Broadcast, Envelope, by_tag, by_tag_all, reduce_by_tag
 from repro.net.metrics import _component_of, payload_bits
 
 TAGS = [("a",), ("b", 1), ("ba", 2, "gc1", "r1")]
@@ -139,3 +141,156 @@ def test_broadcast_once_round_equals_expanded_round(round_):
     # Insertion order too: summaries emit these counters as dicts.
     assert list(metrics.per_process.items()) == list(per_process.items())
     assert list(metrics.per_component.items()) == list(per_component.items())
+
+
+def count_bodies(pairs):
+    return Counter(body for _, body in pairs)
+
+
+def senders_below(pairs, bound):
+    return tuple(sender for sender, _ in pairs if sender < bound)
+
+
+def shares_view(sends, honest, faulty_out, pid, tag):
+    """Whether ``pid`` sees exactly the round's honest broadcasts under
+    ``tag``: the round is indexed, ``tag`` is hashable, and no honest
+    point-to-point or adversary envelope under ``tag`` reaches ``pid``."""
+    items = [item for p in honest for item in sends[p]]
+    try:
+        hash(tag)
+        for item in items:
+            if isinstance(item, Broadcast):
+                hash(item.parts()[0])
+    except TypeError:
+        return False
+    own = [item for item in items if isinstance(item, Envelope)]
+    own += faulty_out
+    return not any(env.recipient == pid and env.parts()[0] == tag
+                   for env in own)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rounds())
+def test_shared_reads_equal_per_recipient_reads(round_):
+    n, faulty, honest, sends, faulty_out = round_
+    calls = Counter()
+
+    def counted(reduce):
+        def wrapper(pairs, *args):
+            calls[reduce.__name__] += 1
+            return reduce(pairs, *args)
+        return wrapper
+
+    counting, bounded = counted(count_bodies), counted(senders_below)
+
+    def bound_of(pid):
+        return 2 + pid % 2
+
+    def probe(ctx):
+        inbox = yield sends[ctx.pid]
+        return {tag_no: (reduce_by_tag(inbox, tag, counting),
+                         reduce_by_tag(inbox, tag, bounded, bound_of(ctx.pid)))
+                for tag_no, tag in enumerate(QUERIES)}
+
+    result = run_protocol(n, len(faulty), faulty, probe,
+                          ScriptedAdversary(lambda view, world: faulty_out))
+
+    honest_env = expand(n, sends, honest)
+    expected_calls = {"count_bodies": 0, "senders_below": 0}
+    for tag_no, tag in enumerate(QUERIES):
+        shared_count, shared_bounded = [], {}
+        for pid in honest:
+            old_inbox = ([e for e in honest_env if e.recipient == pid]
+                         + [e for e in faulty_out if e.recipient == pid])
+            reference = reference_by_tag(old_inbox, tag)
+            got_count, got_bounded = result.decisions[pid][tag_no]
+            assert got_count == count_bodies(reference)
+            assert got_bounded == senders_below(reference, bound_of(pid))
+            if shares_view(sends, honest, faulty_out, pid, tag):
+                shared_count.append(got_count)
+                shared_bounded.setdefault(bound_of(pid), []).append(got_bounded)
+            else:
+                expected_calls["count_bodies"] += 1
+                expected_calls["senders_below"] += 1
+        # Every recipient with the shared view holds the one result.
+        assert all(got is shared_count[0] for got in shared_count)
+        for group in shared_bounded.values():
+            assert all(got is group[0] for got in group)
+        expected_calls["count_bodies"] += 1 if shared_count else 0
+        expected_calls["senders_below"] += len(shared_bounded)
+    assert calls["count_bodies"] == expected_calls["count_bodies"]
+    assert calls["senders_below"] == expected_calls["senders_below"]
+
+
+def test_plain_envelope_lists_reduce_per_call():
+    inbox = [Envelope(1, 0, (("t",), "a")), Envelope(1, 0, (("t",), "b")),
+             Envelope(2, 0, (("t",), "a")), Envelope(3, 0, (("u",), "c"))]
+    assert reduce_by_tag(inbox, ("t",), count_bodies) == Counter({"a": 2})
+    assert reduce_by_tag(inbox, ("t",), senders_below, 2) == (1,)
+
+
+def walker_bits(payload):
+    """The isinstance walker ``payload_bits`` has always been defined by."""
+    if payload is None or isinstance(payload, bool):
+        return 1
+    if isinstance(payload, int):
+        return max(1, payload.bit_length())
+    if isinstance(payload, (str, bytes)):
+        return 8 * len(payload)
+    if isinstance(payload, (tuple, list, set, frozenset)):
+        return sum(walker_bits(item) for item in payload) + 2
+    if isinstance(payload, dict):
+        return sum(walker_bits(k) + walker_bits(v)
+                   for k, v in payload.items()) + 2
+    return 8 * len(repr(payload))
+
+
+class Label(str):
+    """A ``str`` subclass: equal to its text, yet not exactly a ``str``."""
+
+
+#: Tags that compare equal across types (``1 == True == 1.0``) and tags
+#: the memo must never hold.
+ACCOUNTING_TAGS = [("b", 1), ("b", True), ("b", 1.0), ("b", Label("s")),
+                   ("b", "s"), (("b",), 1), (), "plain"]
+
+
+def test_accounting_charges_each_tag_exactly():
+    n = 4
+    body_parts = (-5, True, None, 2.5, "xy", Label("ab"), [1, (2,)],
+                  {3: "c"}, frozenset({4}), b"zz", 2 ** 70)
+
+    def proc(ctx):
+        for round_no in (1, 2):
+            # The second round reverses the order, so every one of the
+            # equal-comparing tags is charged first in some round.
+            tags = ACCOUNTING_TAGS if round_no == 1 else ACCOUNTING_TAGS[::-1]
+            sends = []
+            for tag in tags:
+                sends += ctx.broadcast(tag, (ctx.pid, round_no) + body_parts)
+            sends.append(ctx.send((ctx.pid + 1) % n, ("b", True), round_no))
+            sends.append(Broadcast(ctx.pid, ("malformed", 1, 2)))
+            yield sends
+
+    result = run_protocol(n, 0, [], proc)
+
+    envelopes = []
+    for round_no in (1, 2):
+        tags = ACCOUNTING_TAGS if round_no == 1 else ACCOUNTING_TAGS[::-1]
+        for pid in range(n):
+            for tag in tags:
+                payload = (tag, (pid, round_no) + body_parts)
+                envelopes += [Envelope(pid, j, payload) for j in range(n)]
+            envelopes.append(Envelope(pid, (pid + 1) % n,
+                                      (("b", True), round_no)))
+            envelopes += [Envelope(pid, j, ("malformed", 1, 2))
+                          for j in range(n)]
+    metrics = result.metrics
+    assert metrics.honest_messages == len(envelopes)
+    assert metrics.honest_bits == sum(walker_bits(e.payload) for e in envelopes)
+    per_process = Counter(e.sender for e in envelopes)
+    per_component = Counter(_component_of(e.payload) for e in envelopes)
+    assert list(metrics.per_process.items()) == list(per_process.items())
+    assert list(metrics.per_component.items()) == list(per_component.items())
+    # ("b", 1) and ("b", True) must be told apart.
+    assert {"b:1", "b:True", "b", "b:s", "<untagged>", "plain"} <= set(per_component)
