@@ -71,15 +71,23 @@ class GhostRunner:
         return self._split_internal(outgoing)
 
     def step(self, external_inbox: List[Envelope]) -> List[Envelope]:
-        """Feed last round's inbox (external + internal) and collect sends."""
-        inbox = external_inbox + self._internal_queue
+        """Feed last round's inbox (external + internal) and collect sends.
+
+        One pass bins the round's envelopes by recipient, each ghost's
+        bin in delivery order: external first, then internal.
+        """
+        delivered: Dict[int, List[Envelope]] = {pid: [] for pid in self.pids}
+        for inbox in (external_inbox, self._internal_queue):
+            for env in inbox:
+                bin_ = delivered.get(env.recipient)
+                if bin_ is not None:
+                    bin_.append(env)
         self._internal_queue = []
         outgoing: List[Envelope] = []
         for pid in self.pids:
             if self._finished[pid]:
                 continue
-            delivered = [e for e in inbox if e.recipient == pid]
-            outgoing.extend(self._advance(pid, delivered))
+            outgoing.extend(self._advance(pid, delivered[pid]))
         return self._split_internal(outgoing)
 
     def _advance(self, pid: int, inbox: Optional[List[Envelope]]) -> List[Envelope]:

@@ -211,27 +211,45 @@ class RandomNoiseAdversary(Adversary):
         self.rng = random.Random(seed)
         self.messages_per_faulty = messages_per_faulty
 
+    def _below(self, m: int) -> int:
+        """``self.rng.randrange(m)`` for ``m > 0``, without its argument
+        checks: CPython's ``_randbelow_with_getrandbits`` loop on the same
+        ``getrandbits`` stream, so draws and generator state are equal."""
+        getrandbits = self.rng.getrandbits
+        k = m.bit_length()
+        r = getrandbits(k)
+        while r >= m:
+            r = getrandbits(k)
+        return r
+
     def _junk(self) -> Any:
-        choice = self.rng.randrange(6)
+        choice = self._below(6)
         if choice == 0:
-            return self.rng.randrange(1_000_000)
+            return self._below(1_000_000)
         if choice == 1:
-            return ("classify",), tuple(
-                self.rng.randrange(2) for _ in range(self.world.n)
-            )
+            # n draws of randrange(2), each a getrandbits(2) redrawn
+            # until it is below 2.
+            getrandbits = self.rng.getrandbits
+            votes: List[int] = []
+            while len(votes) < self.world.n:
+                r = getrandbits(2)
+                if r < 2:
+                    votes.append(r)
+            return ("classify",), tuple(votes)
         if choice == 2:
-            return (("ba", 1, "gc1", "r1"), self.rng.randrange(2))
+            return (("ba", 1, "gc1", "r1"), self._below(2))
         if choice == 3:
             return None
         if choice == 4:
-            return ("x" * self.rng.randrange(1, 8), [1, 2, {3: 4}])
+            return ("x" * (1 + self._below(7)), [1, 2, {3: 4}])
         return ((), ())
 
     def step(self, view: AdversaryView) -> List[Envelope]:
         outgoing = []
+        n = self.world.n
         for pid in sorted(self.world.faulty_ids):
             for _ in range(self.messages_per_faulty):
-                recipient = self.rng.randrange(self.world.n)
+                recipient = self._below(n)
                 outgoing.append(Envelope(pid, recipient, self._junk()))
         return outgoing
 

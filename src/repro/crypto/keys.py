@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from ..perf import CacheStats, IdentityMemo
 
@@ -68,18 +68,32 @@ def _encode_cached(
     directly.  :func:`canonical_encode` delegates here with a throwaway
     cache, so the encoding format (and the ``TypeError`` contract) has a
     single source of truth.
+
+    Dispatch is on the exact type first: ``str`` and ``int`` -- the atoms
+    of nearly every signed message -- are encoded without the
+    ``isinstance`` chain, and an exact ``tuple`` goes straight to the
+    cache lookup.  Every other type, subclasses included (``bool``,
+    ``IntEnum``, ``str`` subclasses), takes the chain; both paths give
+    the same bytes.
     """
-    if obj is None:
-        return b"N", True
-    if isinstance(obj, bool):
-        return (b"T" if obj else b"F"), True
-    if isinstance(obj, int):
-        return b"i" + str(obj).encode() + b";", True
-    if isinstance(obj, str):
+    kind = type(obj)
+    if kind is str:
         encoded = obj.encode()
-        return b"s" + str(len(encoded)).encode() + b":" + encoded, True
-    if isinstance(obj, bytes):
-        return b"b" + str(len(obj)).encode() + b":" + obj, True
+        return b"s%d:%s" % (len(encoded), encoded), True
+    if kind is int:
+        return b"i%d;" % obj, True
+    if kind is not tuple:
+        if obj is None:
+            return b"N", True
+        if isinstance(obj, bool):
+            return (b"T" if obj else b"F"), True
+        if isinstance(obj, int):
+            return b"i" + str(obj).encode() + b";", True
+        if isinstance(obj, str):
+            encoded = obj.encode()
+            return b"s" + str(len(encoded)).encode() + b":" + encoded, True
+        if isinstance(obj, bytes):
+            return b"b" + str(len(obj)).encode() + b":" + obj, True
     entry = cache.get(id(obj))
     if entry is not None and entry[0] is obj:
         stats.hits += 1
@@ -118,6 +132,30 @@ class Signature:
 
     signer: int
     digest: bytes
+
+
+#: The part of a :class:`Signature` ``repr`` that is not a field's value
+#: (class name, field names, punctuation), read off a real ``repr``.
+_SIGNATURE_REPR_FIXED = len(repr(Signature(0, b""))) - len(repr(0)) - len(repr(b""))
+
+
+def signature_repr_len(sig: Any) -> Optional[int]:
+    """``len(repr(sig))`` without building the dataclass ``repr``.
+
+    Defined for an exact :class:`Signature` with an exact ``int`` signer
+    and exact ``bytes`` digest, the shape every key store mints; ``None``
+    for anything else, whose ``repr`` may differ (a subclass's name, a
+    ``bool`` or ``str`` field).  The fixed part comes from a real
+    ``repr``, so the two stay equal if the class or a field is renamed.
+    Accounting (:func:`repro.net.metrics.payload_bits`) charges
+    signatures through this.
+    """
+    if type(sig) is not Signature:
+        return None
+    signer, digest = sig.signer, sig.digest
+    if type(signer) is not int or type(digest) is not bytes:
+        return None
+    return _SIGNATURE_REPR_FIXED + len(str(signer)) + len(repr(digest))
 
 
 class KeyStore:
@@ -174,14 +212,21 @@ class KeyStore:
             report[memo.stats.name] = memo.stats.as_dict()
         return report
 
-    def _sign(self, signer: int, message: Any) -> Signature:
+    def _digest(self, signer: int, message: Any) -> bytes:
+        """``signer``'s keyed digest of ``message``: what a signature by
+        ``signer`` on ``message`` must carry.
+
+        Raises ``ValueError`` for an unknown signer and ``TypeError`` for
+        a message outside the canonical encoding.  Cached, the encoding
+        comes from the identity cache and the digest from the
+        ``(signer, encoding)`` sign cache.
+        """
         if not (0 <= signer < self.n):
             raise ValueError(f"unknown signer {signer}")
         if not self.caching:
-            digest = hashlib.sha256(
+            return hashlib.sha256(
                 self._secrets[signer] + canonical_encode(message)
             ).digest()
-            return Signature(signer=signer, digest=digest)
         encoding, _ = _encode_cached(message, self._enc_cache, self.encode_stats)
         key = (signer, encoding)
         digest = self._sign_cache.get(key)
@@ -191,19 +236,25 @@ class KeyStore:
             self._sign_cache[key] = digest
         else:
             self.sign_stats.hits += 1
-        return Signature(signer=signer, digest=digest)
+        return digest
+
+    def _sign(self, signer: int, message: Any) -> Signature:
+        return Signature(signer=signer, digest=self._digest(signer, message))
 
     def verify(self, sig: Any, message: Any) -> bool:
-        """Public verification; tolerates malformed ``sig`` objects."""
+        """Public verification; tolerates malformed ``sig`` objects.
+
+        Compares ``sig.digest`` with the expected digest directly: no
+        :class:`Signature` is built to verify one.
+        """
         if not isinstance(sig, Signature):
             return False
         if not (0 <= sig.signer < self.n):
             return False
         try:
-            expected = self._sign(sig.signer, message)
+            return self._digest(sig.signer, message) == sig.digest
         except TypeError:
             return False
-        return expected.digest == sig.digest
 
     def handle_for(self, ids: Iterable[int]) -> "SignerHandle":
         """A signing capability restricted to ``ids``."""

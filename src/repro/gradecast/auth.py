@@ -26,7 +26,7 @@ from typing import Any, Generator, List, Optional, Tuple
 
 from ..crypto.keys import KeyStore, Signature
 from ..net.context import ProcessContext
-from ..net.message import Envelope, by_tag
+from ..net.message import Envelope, Pairs, by_tag, reduce_by_tag
 from ..perf import memoized_check
 from ..util import is_hashable
 
@@ -66,17 +66,47 @@ def _certified_lock(body: Any, tag: tuple, quorum: int, keystore: KeyStore) -> b
 
     def compute() -> bool:
         lock_value, cert = body
+        message = _echo_message(tag, lock_value)
         signers = {
             sig.signer
             for sig in cert
-            if isinstance(sig, Signature)
-            and keystore.verify(sig, _echo_message(tag, lock_value))
+            if isinstance(sig, Signature) and keystore.verify(sig, message)
         }
         return len(signers) >= quorum
 
     return memoized_check(
         keystore, "gc_lock", body, (tag, quorum), compute, positive=bool
     )
+
+
+def echo_quorum(
+    pairs: Pairs, tag: tuple, quorum: int, keystore: KeyStore
+) -> Tuple[Optional[Any], Optional[tuple]]:
+    """Round 1's read: ``(locked, certificate)`` from the echo pairs.
+
+    ``locked`` is the first value, in first-seen order, echoed with a
+    valid signature by at least ``quorum`` distinct senders, and
+    ``certificate`` those echo signatures sorted by signer; both are
+    ``None`` without such a value.  Bodies that are not pairs, or whose
+    value is unhashable, are ignored as silence.
+
+    A pure reducer for :func:`~repro.net.message.reduce_by_tag`: every
+    recipient that sees only the round's honest echoes shares one result,
+    so the tuple and its certificate are read-only.
+    """
+    echo_sigs: dict = {}
+    for sender, body in pairs:
+        # An unhashable value is never an honest echo: ignore it as silence.
+        if not (isinstance(body, tuple) and len(body) == 2
+                and is_hashable(body[0])):
+            continue
+        if _valid_echo(body, sender, tag, keystore):
+            echoed, sig = body
+            echo_sigs.setdefault(echoed, {})[sender] = sig
+    for candidate, sigs in echo_sigs.items():
+        if len(sigs) >= quorum:
+            return candidate, tuple(sigs[s] for s in sorted(sigs))
+    return None, None
 
 
 def graded_consensus_auth(
@@ -92,23 +122,9 @@ def graded_consensus_auth(
     round1_tag = tag + ("r1",)
     my_sig = ctx.signer.sign(ctx.pid, _echo_message(tag, value))
     inbox = yield ctx.broadcast(round1_tag, (value, my_sig))
-    echo_sigs: dict = {}
-    for sender, body in by_tag(inbox, round1_tag):
-        # An unhashable value is never an honest echo: ignore it as silence.
-        if not (isinstance(body, tuple) and len(body) == 2
-                and is_hashable(body[0])):
-            continue
-        if _valid_echo(body, sender, tag, keystore):
-            echoed, sig = body
-            echo_sigs.setdefault(echoed, {})[sender] = sig
-
-    locked: Optional[Any] = None
-    certificate: Optional[tuple] = None
-    for candidate, sigs in echo_sigs.items():
-        if len(sigs) >= quorum:
-            locked = candidate
-            certificate = tuple(sigs[s] for s in sorted(sigs))
-            break
+    locked, certificate = reduce_by_tag(
+        inbox, round1_tag, echo_quorum, tag, quorum, keystore
+    )
 
     # Round 2: certified locks.
     round2_tag = tag + ("r2",)

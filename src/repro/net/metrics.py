@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..crypto.keys import Signature, signature_repr_len
 from .message import Broadcast, Envelope, RoundTraffic
 
 
@@ -35,6 +36,11 @@ def payload_bits(payload: Any) -> int:
     Exact ``int``, ``str`` and ``tuple`` -- nearly everything honest
     protocols send -- take a type-dispatched fast path; everything else,
     subclasses included, goes through :func:`_walk_bits`.
+
+    An exact :class:`~repro.crypto.keys.Signature` is charged
+    ``8 * len(repr(sig))`` without building its ``repr``, through
+    :func:`~repro.crypto.keys.signature_repr_len`, which keeps the size
+    rule next to the dataclass; a signature it does not cover is walked.
     """
     kind = type(payload)
     if kind is int:
@@ -43,6 +49,10 @@ def payload_bits(payload: Any) -> int:
         return 8 * len(payload)
     if kind is tuple:
         return sum(map(payload_bits, payload)) + 2
+    if kind is Signature:
+        size = signature_repr_len(payload)
+        if size is not None:
+            return 8 * size
     return _walk_bits(payload)
 
 

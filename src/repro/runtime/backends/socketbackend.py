@@ -191,29 +191,34 @@ class _WorkerLink:
     def take(self, peers: Sequence["_WorkerLink"], block: bool) -> Any:
         """The next item for this link's driver thread.
 
-        The link's own queue comes first.  When it is empty, one job is
-        stolen from the peer with the longest queue: hash shares differ
-        in size and cost, and without stealing a worker whose share ran
-        out would idle while a peer still has a backlog.  A peer's
-        ``_DONE`` sentinel is put back, never taken.  With nothing to
-        take, this blocks on the link's own queue if ``block`` is set
-        and raises ``queue.Empty`` otherwise.
+        The link's own queue comes first.  When it is empty and the link
+        has nothing in flight -- its worker is about to idle, and the
+        driver makes this its ``block=True`` call -- one job is stolen
+        from the peer with the longest queue: hash shares differ in size
+        and cost, and without stealing a worker whose share ran out would
+        idle while a peer still has a backlog.  A link with work in
+        flight is not starving and steals nothing: it would only take
+        jobs the peer's driver is about to send, up to the peer's whole
+        share at a wide window.  A peer's ``_DONE`` sentinel is put back,
+        never taken.  With nothing to take, this blocks on the link's own
+        queue if ``block`` is set and raises ``queue.Empty`` otherwise.
         """
         try:
             return self.jobs.get_nowait()
         except queue.Empty:
             pass
-        others = [peer for peer in peers if peer is not self]
-        others.sort(key=lambda peer: peer.jobs.qsize(), reverse=True)
-        for peer in others:
-            try:
-                item = peer.jobs.get_nowait()
-            except queue.Empty:
-                continue
-            if item is _DONE:
-                peer.jobs.put(_DONE)
-                continue
-            return item
+        if not self.inflight_jobs:
+            others = [peer for peer in peers if peer is not self]
+            others.sort(key=lambda peer: peer.jobs.qsize(), reverse=True)
+            for peer in others:
+                try:
+                    item = peer.jobs.get_nowait()
+                except queue.Empty:
+                    continue
+                if item is _DONE:
+                    peer.jobs.put(_DONE)
+                    continue
+                return item
         return self.jobs.get(block=block)
 
     def drain_jobs(self) -> List[Job]:
@@ -1069,9 +1074,10 @@ class SocketBackend(Backend):
         occupancy: Optional[_Occupancy],
     ) -> None:
         """Top up the in-flight window, one ``job`` frame per queued
-        scenario (stolen from ``peers`` once the link's own queue is
-        empty, see :meth:`_WorkerLink.take`); block on the queue only
-        when nothing is in flight."""
+        scenario; block on the queue only when nothing is in flight.
+        Only that blocking take steals from ``peers`` once the link's
+        own queue is empty (see :meth:`_WorkerLink.take`), so an idle
+        link takes one stolen job at a time."""
         while not link.finishing and len(inflight) < self.window:
             try:
                 item = link.take(peers, block=not inflight)

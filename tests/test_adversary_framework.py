@@ -1,5 +1,7 @@
 """Unit tests for the adversary framework: ghosts, mutators, strategies."""
 
+import random
+
 import pytest
 
 from repro.adversary import (
@@ -7,6 +9,7 @@ from repro.adversary import (
     EchoAdversary,
     GhostHonestAdversary,
     GhostRunner,
+    RandomNoiseAdversary,
     ScriptedAdversary,
     SilentAdversary,
     inverted_prediction_mutator,
@@ -14,6 +17,8 @@ from repro.adversary import (
 from repro.gradecast import graded_consensus
 from repro.net.adversary import AdversaryView, AdversaryWorld
 from repro.net.message import Envelope, tagged
+from repro.runtime.execute import execute_spec
+from repro.runtime.scenario import ScenarioSpec
 
 from helpers import assert_agreement, run_sub
 
@@ -63,6 +68,25 @@ class TestGhostRunner:
         # votes they cannot lock, so round 2 is silent.
         assert outgoing == []
 
+    def test_step_delivers_each_ghost_its_envelopes_in_order(self):
+        world = self.make_world()
+        inboxes = {}
+
+        def record(ctx):
+            inboxes[ctx.pid] = yield [ctx.send(j, ("r",), ctx.pid)
+                                      for j in (4, 3, 0)]
+
+        runner = GhostRunner(world, world.faulty_ids, factory=record)
+        runner.start()
+        external = [Envelope(0, 4, "a"), Envelope(1, 3, "b"),
+                    Envelope(2, 4, "c"), Envelope(0, 3, "d")]
+        runner.step(external)
+        # External envelopes first, then ghost-to-ghost, each in order.
+        assert inboxes[3] == [external[1], external[3], Envelope(3, 3, (("r",), 3)),
+                              Envelope(4, 3, (("r",), 4))]
+        assert inboxes[4] == [external[0], external[2], Envelope(3, 4, (("r",), 3)),
+                              Envelope(4, 4, (("r",), 4))]
+
     def test_input_overrides_via_builder(self):
         world = self.make_world()
         runner = GhostRunner(
@@ -82,6 +106,34 @@ class TestGhostRunner:
         del world.scenario["protocol_builder"]
         with pytest.raises(ValueError, match="protocol_builder"):
             GhostRunner(world, world.faulty_ids, inputs={3: 1})
+
+
+#: Rows of ghost-backed scenarios, recorded before ``GhostRunner.step``
+#: binned its inbox by recipient in one pass.
+GHOST_ROWS = [
+    (dict(n=13, t=4, f=4, budget=13, mode="unauthenticated", adversary="split"),
+     {"B": 13, "B/n": 1.0, "adversary": "split", "agreed": True,
+      "bits": 403221, "budget": 13, "decision": 0, "f": 4,
+      "generator": "concentrated", "lb_rounds": 2, "lemma1_kA_bound": 4,
+      "messages": 4420, "mode": "unauthenticated", "n": 13,
+      "pattern": "split", "rounds": 98,
+      "scenario": "ec1d84f91e554a78933a523379b213a19d3529f4c7ec71f38f7302c76d045e91",
+      "schema": 1, "seed": 0, "t": 4, "valid": True}),
+    (dict(n=13, t=4, f=4, budget=13, mode="authenticated", adversary="liar"),
+     {"B": 13, "B/n": 1.0, "adversary": "liar", "agreed": True,
+      "bits": 13916842, "budget": 13, "decision": 0, "f": 4,
+      "generator": "concentrated", "lb_rounds": 2, "lemma1_kA_bound": 4,
+      "messages": 3829, "mode": "authenticated", "n": 13,
+      "pattern": "split", "rounds": 67,
+      "scenario": "37f64b026ef740eda2ce075da50203f0342f3c33d9d94f015c34845e535be960",
+      "schema": 1, "seed": 0, "t": 4, "valid": True}),
+]
+
+
+@pytest.mark.parametrize("spec, row", GHOST_ROWS,
+                         ids=[spec["adversary"] for spec, _ in GHOST_ROWS])
+def test_ghost_backed_rows_are_unchanged(spec, row):
+    assert execute_spec(ScenarioSpec(**spec)) == row
 
 
 class TestCrashAdversary:
@@ -209,3 +261,51 @@ class TestSimpleStrategies:
         )
         assert captured["round"] >= 1
         assert captured["faulty"] == frozenset({3})
+
+
+class RandrangeNoise:
+    """:class:`RandomNoiseAdversary`'s draws spelled with ``randrange``:
+    the reference its random stream must follow."""
+
+    def __init__(self, seed, n, faulty, messages_per_faulty=4):
+        self.rng = random.Random(seed)
+        self.n, self.faulty = n, faulty
+        self.messages_per_faulty = messages_per_faulty
+
+    def junk(self):
+        choice = self.rng.randrange(6)
+        if choice == 0:
+            return self.rng.randrange(1_000_000)
+        if choice == 1:
+            return ("classify",), tuple(
+                self.rng.randrange(2) for _ in range(self.n))
+        if choice == 2:
+            return (("ba", 1, "gc1", "r1"), self.rng.randrange(2))
+        if choice == 3:
+            return None
+        if choice == 4:
+            return ("x" * self.rng.randrange(1, 8), [1, 2, {3: 4}])
+        return ((), ())
+
+    def step(self):
+        outgoing = []
+        for pid in sorted(self.faulty):
+            for _ in range(self.messages_per_faulty):
+                recipient = self.rng.randrange(self.n)
+                outgoing.append(Envelope(pid, recipient, self.junk()))
+        return outgoing
+
+
+@pytest.mark.parametrize("n", [4, 7, 13, 21, 100])
+def test_noise_stream_equals_randrange_reference(n):
+    t = (n - 1) // 3
+    faulty = frozenset(range(n - t, n))
+    world = AdversaryWorld(n=n, t=t, faulty_ids=faulty)
+    view = AdversaryView(round_no=1, honest_outgoing=[], inbox_to_faulty=[])
+    for seed in range(100):
+        adversary = RandomNoiseAdversary(seed=seed)
+        adversary.bind(world)
+        reference = RandrangeNoise(seed, n, faulty)
+        for _ in range(3):
+            assert adversary.step(view) == reference.step()
+        assert adversary.rng.getstate() == reference.rng.getstate()

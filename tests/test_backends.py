@@ -560,6 +560,24 @@ class TestSocketBackendSetup:
             link.take(peers, block=False)
         assert short.jobs.get_nowait() is socketbackend_module._DONE
 
+    def test_take_does_not_steal_while_the_link_has_jobs_in_flight(self):
+        link, peer = (
+            socketbackend_module._WorkerLink(f"h:{port}", None)
+            for port in (1, 2)
+        )
+        peer.enqueue("p1", None)
+        peer.enqueue("p2", None)
+        peers = [link, peer]
+        # Work in flight: the link is not starving, the peer keeps its share.
+        link.inflight_jobs = 1
+        with pytest.raises(queue.Empty):
+            link.take(peers, block=False)
+        assert peer.jobs.qsize() == 2
+        # Nothing in flight: the link steals one job from the peer.
+        link.inflight_jobs = 0
+        assert link.take(peers, block=False)[0] == "p1"
+        assert peer.jobs.qsize() == 1
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             SocketBackend([])

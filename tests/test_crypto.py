@@ -1,6 +1,10 @@
 """Unit tests for the simulated cryptographic substrate."""
 
+from collections import namedtuple
+from enum import IntEnum
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto import (
     ForgeryError,
@@ -15,6 +19,8 @@ from repro.crypto import (
     make_certificate,
     start_chain,
 )
+from repro.crypto.keys import _encode_cached
+from repro.perf import CacheStats
 
 
 @pytest.fixture
@@ -46,6 +52,90 @@ class TestCanonicalEncode:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             canonical_encode(object())
+
+
+def reference_encode(obj):
+    """``(encoding, immutable)`` by ``isinstance`` dispatch alone: the
+    canonical encoding as it was defined before the exact-type path."""
+    if obj is None:
+        return b"N", True
+    if isinstance(obj, bool):
+        return (b"T" if obj else b"F"), True
+    if isinstance(obj, int):
+        return b"i" + str(obj).encode() + b";", True
+    if isinstance(obj, str):
+        encoded = obj.encode()
+        return b"s" + str(len(encoded)).encode() + b":" + encoded, True
+    if isinstance(obj, bytes):
+        return b"b" + str(len(obj)).encode() + b":" + obj, True
+    if isinstance(obj, Signature):
+        signer_enc, signer_imm = reference_encode(obj.signer)
+        return (b"G(" + signer_enc + obj.digest + b")",
+                signer_imm and type(obj.digest) is bytes)
+    if isinstance(obj, (tuple, list, set, frozenset)):
+        parts = [reference_encode(item) for item in obj]
+        pieces = [enc for enc, _ in parts]
+        immutable = (isinstance(obj, (tuple, frozenset))
+                     and all(imm for _, imm in parts))
+        if isinstance(obj, (tuple, list)):
+            return b"(" + b"".join(pieces) + b")", immutable
+        return b"{" + b"".join(sorted(pieces)) + b"}", immutable
+    raise TypeError(f"cannot canonically encode {type(obj).__name__}")
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Label(str):
+    """A ``str`` subclass."""
+
+
+Pair = namedtuple("Pair", "left right")
+
+ATOMS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(2 ** 80), 2 ** 80),
+    st.text(max_size=6), st.binary(max_size=6), st.sampled_from(Level),
+    st.text(max_size=4).map(Label),
+    st.builds(Signature, st.one_of(st.integers(0, 9), st.booleans(),
+                                   st.sampled_from(Level)),
+              st.binary(min_size=4, max_size=4)),
+)
+HASHABLE = st.recursive(
+    ATOMS, lambda inner: st.one_of(st.lists(inner, max_size=3).map(tuple),
+                                   st.frozensets(inner, max_size=3)),
+    max_leaves=6)
+VALUES = st.recursive(
+    ATOMS, lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=4),
+        st.builds(Pair, inner, inner),
+        st.sets(HASHABLE, max_size=3),
+        st.frozensets(HASHABLE, max_size=3),
+    ), max_leaves=12)
+
+
+class TestExactTypeEncoding:
+    @settings(max_examples=400, deadline=None)
+    @given(VALUES)
+    def test_matches_isinstance_reference(self, obj):
+        expected = reference_encode(obj)
+        cache, stats = {}, CacheStats("t")
+        assert _encode_cached(obj, cache, stats) == expected
+        # Served from the identity cache the second time, if cached at all.
+        assert _encode_cached(obj, cache, stats) == expected
+        assert canonical_encode(obj) == expected[0]
+
+    @pytest.mark.parametrize("obj", [
+        1.5, {1: 2}, object(), (1, "a", 2.5), ["x", (3, {4: 5})],
+        frozenset({(1, 2.0)}), Pair(1, {}),
+    ])
+    def test_unsupported_types_still_raise(self, obj):
+        with pytest.raises(TypeError):
+            _encode_cached(obj, {}, CacheStats("t"))
+        with pytest.raises(TypeError):
+            reference_encode(obj)
 
 
 class TestSignatures:

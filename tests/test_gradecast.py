@@ -3,20 +3,23 @@
 (core-set) variants."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.adversary import (
     RandomNoiseAdversary,
     ScriptedAdversary,
     SplitWorldAdversary,
 )
-from repro.crypto import KeyStore
+from repro.crypto import KeyStore, Signature
 from repro.gradecast import (
     graded_consensus,
     graded_consensus_3,
     graded_consensus_auth,
     graded_consensus_with_core_set,
 )
-from repro.net.message import Envelope, tagged
+from repro.gradecast.auth import echo_quorum
+from repro.net.message import Envelope, reduce_by_tag, tagged
+from repro.util import is_hashable
 
 from helpers import honest_ids, run_sub
 
@@ -181,6 +184,120 @@ class TestAuthGradedConsensus:
             adversary=RandomNoiseAdversary(seed=9), keystore=ks,
         )
         check_strong_unanimity(result.decisions, 5, 1)
+
+
+def reference_echo_quorum(pairs, tag, quorum, keystore):
+    """Round 1 of ``graded_consensus_auth`` as each recipient computed it
+    before the read was shared: the per-recipient loop, unmemoized."""
+    echo_sigs = {}
+    for sender, body in pairs:
+        if not (isinstance(body, tuple) and len(body) == 2
+                and is_hashable(body[0])):
+            continue
+        echoed, sig = body
+        if (isinstance(sig, Signature) and sig.signer == sender
+                and keystore.verify(sig, (tag, "echo", echoed))):
+            echo_sigs.setdefault(echoed, {})[sender] = sig
+    for candidate, sigs in echo_sigs.items():
+        if len(sigs) >= quorum:
+            return candidate, tuple(sigs[s] for s in sorted(sigs))
+    return None, None
+
+
+def first_per_sender(envelopes, tag):
+    seen, out = set(), []
+    for env in envelopes:
+        env_tag, body = env.parts()
+        if env_tag == tag and env.sender not in seen:
+            seen.add(env.sender)
+            out.append((env.sender, body))
+    return out
+
+
+ECHO_TAG = ("gc-echo",)
+ROUND1 = ECHO_TAG + ("r1",)
+#: Adversary round-1 envelopes: a replayed honest signature (wrong
+#: signer), a tampered digest, an unhashable value, a non-pair body, two
+#: echoes from one sender, and a valid faulty echo.
+ECHO_FAULTS = ("wrong-signer", "tampered", "unhashable", "non-pair",
+               "duplicate", "valid")
+
+
+@st.composite
+def echo_rounds(draw):
+    n = draw(st.integers(4, 10))
+    t = (n - 1) // 3
+    faulty = sorted(draw(st.sets(st.integers(0, n - 1), max_size=t)))
+    honest = [pid for pid in range(n) if pid not in faulty]
+    ones = draw(st.integers(0, len(honest)))
+    values = {pid: int(i < ones) for i, pid in enumerate(honest)}
+    attacks = []
+    if faulty:
+        attacks = draw(st.lists(st.tuples(
+            st.sampled_from(ECHO_FAULTS), st.sampled_from(faulty),
+            st.sampled_from(honest), st.sampled_from((0, 1, 2)),
+        ), max_size=3 * n))
+    return n, t, faulty, honest, values, attacks
+
+
+def echo_attack(keystore, world, kind, sender, recipient, value, honest):
+    def echo(pid, echoed):
+        return keystore.handle_for({pid}).sign(pid, (ECHO_TAG, "echo", echoed))
+
+    def env(body):
+        return Envelope(sender, recipient, (ROUND1, body))
+
+    own = world.signer.sign(sender, (ECHO_TAG, "echo", value))
+    if kind == "wrong-signer":
+        return [env((value, echo(honest[value % len(honest)], value)))]
+    if kind == "tampered":
+        digest = bytes([own.digest[0] ^ 1]) + own.digest[1:]
+        return [env((value, Signature(sender, digest)))]
+    if kind == "unhashable":
+        return [env(([1], own))]
+    if kind == "non-pair":
+        return [env((value,)), env((value, own, 0)), env(value)]
+    if kind == "duplicate":
+        return [env((value, own)), env(((value + 1) % 3, own))]
+    return [env((value, own))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(echo_rounds())
+def test_shared_echo_quorum_equals_per_recipient_loop(round_):
+    n, t, faulty, honest, values, attacks = round_
+    quorum = n - t
+    ks = KeyStore(n, seed=5)
+    reference_ks = KeyStore(n, seed=5, cache=False)
+
+    def probe(ctx):
+        value = values[ctx.pid]
+        sig = ctx.signer.sign(ctx.pid, (ECHO_TAG, "echo", value))
+        inbox = yield ctx.broadcast(ROUND1, (value, sig))
+        return (reduce_by_tag(inbox, ROUND1, echo_quorum, ECHO_TAG, quorum, ks),
+                list(inbox))
+
+    def script(view, world):
+        if view.round_no != 1:
+            return []
+        out = []
+        for attack in attacks:
+            out += echo_attack(ks, world, *attack, honest)
+        return out
+
+    result = run_sub(n, t, faulty, probe, ScriptedAdversary(script), keystore=ks)
+
+    attacked = {recipient for _, _, recipient, _ in attacks}
+    shared = []
+    for pid in honest:
+        got, inbox = result.decisions[pid]
+        pairs = first_per_sender(inbox, ROUND1)
+        assert got == reference_echo_quorum(pairs, ECHO_TAG, quorum, reference_ks)
+        if pid not in attacked:
+            shared.append(got)
+    # Every recipient on the shared view holds the one result object.
+    assert all(got is shared[0] for got in shared)
+    assert all(got[1] is shared[0][1] for got in shared)
 
 
 class TestCoreSetGradedConsensus:

@@ -7,7 +7,7 @@ is the per-envelope engine it replaced: every broadcast expanded to ``n``
 envelopes, each recipient's inbox its honest envelopes in send order
 followed by the adversary's, read by the plain ``by_tag`` loops below.
 Shared reads (``reduce_by_tag``) and per-tag accounting are held to the
-same reference.
+same reference, and signatures are charged the length of their ``repr``.
 """
 
 from collections import Counter
@@ -16,7 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.adversary import ScriptedAdversary
 from repro.core.api import run_protocol
+from repro.crypto import Signature
+from repro.crypto.keys import signature_repr_len
 from repro.net import Broadcast, Envelope, by_tag, by_tag_all, reduce_by_tag
+from repro.net import metrics as metrics_module
 from repro.net.metrics import _component_of, payload_bits
 
 TAGS = [("a",), ("b", 1), ("ba", 2, "gc1", "r1")]
@@ -294,3 +297,53 @@ def test_accounting_charges_each_tag_exactly():
     assert list(metrics.per_component.items()) == list(per_component.items())
     # ("b", 1) and ("b", True) must be told apart.
     assert {"b:1", "b:True", "b", "b:s", "<untagged>", "plain"} <= set(per_component)
+
+
+#: Bytes that change a digest's ``repr``: its quote choice, escapes, and
+#: the ``\x..`` form of control and high bytes.
+REPR_BYTES = b"'\"\\\n\x7f\x80\xa7\xff"
+
+
+@st.composite
+def digests(draw):
+    digest = bytearray(draw(st.binary(min_size=32, max_size=32)))
+    forced = draw(st.lists(st.sampled_from(REPR_BYTES), min_size=1, max_size=8))
+    for byte in forced:
+        digest[draw(st.integers(0, 31))] = byte
+    return bytes(digest)
+
+
+SIGNERS = st.one_of(st.integers(min_value=-(2 ** 70), max_value=-1), st.just(0),
+                    st.integers(0, 200),
+                    st.integers(min_value=2 ** 64 + 1, max_value=2 ** 200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SIGNERS, digests())
+def test_signature_charged_as_its_repr(signer, digest):
+    sig = Signature(signer, digest)
+    assert signature_repr_len(sig) == len(repr(sig))
+    assert payload_bits(sig) == 8 * len(repr(sig))
+    assert payload_bits((("t",), (signer, sig))) == walker_bits((("t",), (signer, sig)))
+
+
+class NamedSignature(Signature):
+    """A subclass: its ``repr`` carries its own class name."""
+
+
+def test_other_signatures_are_walked(monkeypatch):
+    walked = []
+    walk = metrics_module._walk_bits
+
+    def spy(payload):
+        walked.append(payload)
+        return walk(payload)
+
+    monkeypatch.setattr(metrics_module, "_walk_bits", spy)
+    digest = b"\x00'\"" * 8
+    others = [NamedSignature(3, digest), Signature(True, digest),
+              Signature("3", digest), Signature(3, "digest")]
+    for sig in others:
+        assert signature_repr_len(sig) is None
+        assert payload_bits(sig) == 8 * len(repr(sig))
+    assert walked == others
