@@ -76,7 +76,7 @@ from .runtime.store import ResultStore
 
 #: Version of the public surface in this module.  Bump on any breaking
 #: signature change; the API snapshot test pins the current surface.
-API_VERSION = 1
+API_VERSION = 2
 
 _SEED_SPACE = 2**30
 
@@ -476,7 +476,6 @@ class Experiment:
         lock: bool = True,
         telemetry: Optional[Union[str, Telemetry]] = None,
         live: bool = False,
-        trend: Optional[str] = None,
         log_level: Optional[str] = None,
     ) -> "Campaign":
         """Execute every scenario (cached rows served from ``store``).
@@ -510,9 +509,6 @@ class Experiment:
             live: render a live progress line (throughput, ETA,
                 per-worker state) to stderr while the campaign runs;
                 rows stay byte-identical with the live view on or off.
-            trend: append one run-summary record to this trend-history
-                JSONL after the run (render with ``python -m repro
-                trend PATH``; gate CI with ``--check``).
             log_level: configure the ``repro`` logging tree at this
                 level (``debug``/``info``/...) before running, exactly
                 like the CLI ``--log-level`` flags.
@@ -540,7 +536,6 @@ class Experiment:
                 lock=lock,
                 telemetry=telemetry,
                 live=live,
-                trend=trend,
             )
             result = runner.run(self.scenarios())
             summary = resolved.summary() if resolved is not None else None

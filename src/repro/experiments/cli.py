@@ -223,12 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         "result rows are unaffected",
     )
     campaign.add_argument(
-        "--trend", default=None, metavar="PATH",
-        help="append one run-summary record (scenarios, wall, scen/s, "
-        "phase shares, cache hit rates) to this trend-history JSONL; "
-        "inspect it with: python -m repro trend PATH",
-    )
-    campaign.add_argument(
         "--log-level", choices=sorted(LOG_LEVELS), default=None,
         help="structured log verbosity on stderr for the repro logging "
         "tree (driver retry/reconnect/requeue lines at warning+)",
@@ -309,32 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "telemetry", metavar="TELEMETRY",
         help="JSONL telemetry file written by campaign --telemetry",
-    )
-
-    trend = commands.add_parser(
-        "trend",
-        help="render a cross-run trend history (sparkline tables per "
-        "label) and optionally gate on regressions",
-    )
-    trend.add_argument(
-        "history", metavar="HISTORY",
-        help="trend-history JSONL written by campaign --trend or the "
-        "benchmark suite",
-    )
-    trend.add_argument(
-        "--check", action="store_true",
-        help="exit nonzero when the latest run's throughput regresses "
-        "below --tolerance of the rolling baseline or a phase's "
-        "wall-clock share balloons past it",
-    )
-    trend.add_argument(
-        "--window", type=int, default=None, metavar="N",
-        help="rolling-baseline length in runs (default: 5)",
-    )
-    trend.add_argument(
-        "--tolerance", type=float, default=None, metavar="FRACTION",
-        help="fraction of baseline throughput the latest run must reach "
-        "(default: 0.9)",
     )
 
     store_cmd = commands.add_parser(
@@ -498,7 +466,6 @@ def _run_campaign_command(args: argparse.Namespace) -> int:
             backoff=args.backoff,
             telemetry=args.telemetry or None,
             live=args.live,
-            trend=args.trend or None,
             log_level=args.log_level,
         )
     except ValueError as exc:
@@ -520,9 +487,6 @@ def _run_campaign_command(args: argparse.Namespace) -> int:
     if args.telemetry:
         print(f"telemetry: wrote {args.telemetry} "
               f"(inspect with: python -m repro stats {args.telemetry})")
-    if args.trend:
-        print(f"trend: appended to {args.trend} "
-              f"(inspect with: python -m repro trend {args.trend})")
     rows = campaign.ok_rows()
     if args.rows:
         print(format_table(rows, _ROW_COLUMNS, title="scenarios"))
@@ -710,7 +674,6 @@ def _run_version_command() -> int:
     from ..api import API_VERSION
     from ..obs.metrics import METRICS_SCHEMA_VERSION
     from ..obs.spans import TELEMETRY_SCHEMA_VERSION
-    from ..obs.trend import TREND_SCHEMA_VERSION
     from ..runtime.backends.wire import PROTOCOL_VERSION
     from ..runtime.execute import SCHEMA_VERSION
 
@@ -721,7 +684,6 @@ def _run_version_command() -> int:
             "PROTOCOL_VERSION": PROTOCOL_VERSION,
             "SCHEMA_VERSION": SCHEMA_VERSION,
             "TELEMETRY_SCHEMA_VERSION": TELEMETRY_SCHEMA_VERSION,
-            "TREND_SCHEMA_VERSION": TREND_SCHEMA_VERSION,
         },
         indent=2, sort_keys=True,
     ))
@@ -744,7 +706,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         return main_stats(args.telemetry)
     if args.command == "lint":
-        # Lazy, like stats/trend: the lint engine is a dev-time tool
+        # Lazy, like stats: the lint engine is a dev-time tool
         # and must not tax `repro solve` startup.
         from ..analysis.engine import main_lint
 
@@ -754,17 +716,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     if args.command == "version":
         return _run_version_command()
-    if args.command == "trend":
-        # Imported directly (not via repro.obs) -- see repro.obs.trend.
-        from ..obs.trend import DEFAULT_TOLERANCE, DEFAULT_WINDOW, main_trend
-
-        return main_trend(
-            args.history,
-            check=args.check,
-            window=args.window if args.window is not None else DEFAULT_WINDOW,
-            tolerance=(args.tolerance if args.tolerance is not None
-                       else DEFAULT_TOLERANCE),
-        )
     common = dict(
         mode=getattr(args, "mode", UNAUTHENTICATED),
         generator=getattr(args, "generator", "concentrated"),

@@ -13,12 +13,11 @@ Import surface (everything here is stdlib-only, so lower layers like
   gauges, and histograms (:mod:`repro.obs.metrics`; instrumentation
   sites use the submodule helpers, ``from repro.obs import metrics``).
 
-:mod:`repro.obs.stats` (the ``repro stats`` renderer),
-:mod:`repro.obs.trend` (cross-run history), and the renderer half of
-:mod:`repro.obs.live` are deliberately *not* imported here: they pull in
-:mod:`repro.reporting`, which imports the runtime, which imports this
-package -- importing them eagerly would make the package cyclic.  Import
-them directly when needed.
+:mod:`repro.obs.stats` (the ``repro stats`` renderer) and the renderer
+half of :mod:`repro.obs.live` are deliberately *not* imported here: they
+pull in :mod:`repro.reporting`, which imports the runtime, which imports
+this package -- importing them eagerly would make the package cyclic.
+Import them directly when needed.
 """
 
 from .logsetup import LOG_LEVELS, configure_logging, kv

@@ -14,9 +14,8 @@ process-global :mod:`repro.obs.metrics` registry (the runner's
 
 The reporter is an *observer*: it never touches result rows, stores, or
 the backend, so campaigns stay byte-identical with the live view on or
-off.  All numbers come from the metrics registry, which is exactly the
-point of having one -- the live view, ``repro stats``, and the trend
-recorder share a single instrumentation layer instead of three.
+off.  All numbers come from the metrics registry, so the live view adds
+no instrumentation of its own.
 """
 
 from __future__ import annotations

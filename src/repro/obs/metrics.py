@@ -4,8 +4,8 @@ The second observability layer.  Spans (:mod:`repro.obs.spans`) answer
 *where the time went* after a campaign finishes; metrics answer *what is
 happening right now* while it runs: completed/cached/failed counts, store
 append bytes, socket pipeline occupancy, cache hit rates.  The live
-progress reporter (:mod:`repro.obs.live`) and the trend recorder
-(:mod:`repro.obs.trend`) are both built on :meth:`MetricsRegistry.snapshot`.
+progress reporter (:mod:`repro.obs.live`) reads its counters and gauges
+while the campaign runs.
 
 Design constraints mirror the span layer:
 
@@ -19,9 +19,7 @@ Design constraints mirror the span layer:
 * **thread-safe** -- all mutation happens under one registry lock (the
   socket driver updates from per-worker threads);
 * **O(1) per sample** -- histograms are fixed-bucket: one bisect and
-  three integer adds per observation, never a stored sample list, in
-  the spirit of the sublinear streaming estimators the ROADMAP's trend
-  dashboards will sit on.
+  three integer adds per observation, never a stored sample list.
 
 Activation follows the :mod:`logging` model (one process-global current
 registry, disabled by default), exactly like ``spans.activate``.
@@ -36,8 +34,8 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from ..analysis.watchdog import traced_lock
 
 #: Version stamp carried by :meth:`MetricsRegistry.snapshot` output, so
-#: downstream consumers (live view, trend records) can refuse layouts
-#: from the future.  Independent of the telemetry row schema.
+#: downstream consumers can refuse layouts from the future.  Independent
+#: of the telemetry row schema.
 METRICS_SCHEMA_VERSION = 1
 
 #: Default histogram bucket upper bounds, in seconds -- sized for the

@@ -122,10 +122,6 @@ class CampaignRunner:
             the :mod:`~repro.obs.metrics` registry; a fresh registry is
             activated for the run when none is.  Result rows are
             unaffected (byte-identical with the live view on or off).
-        trend: append one schema-stamped run-summary record (scenarios,
-            wall, throughput, phase shares, cache hit rates) to this
-            trend-history JSONL after the run; read back by
-            ``repro trend`` (see :mod:`repro.obs.trend`).
     """
 
     def __init__(
@@ -138,7 +134,6 @@ class CampaignRunner:
         lock: bool = True,
         telemetry: Optional[Union[str, Path, Telemetry]] = None,
         live: bool = False,
-        trend: Optional[Union[str, Path]] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -150,7 +145,6 @@ class CampaignRunner:
         self.lock = lock
         self.telemetry = telemetry
         self.live = live
-        self.trend = trend
 
     def run(self, scenarios: ScenarioSource) -> CampaignResult:
         """Execute a campaign; returns rows in scenario order."""
@@ -177,28 +171,7 @@ class CampaignRunner:
             if wall_s > 0:
                 metrics.set_gauge("campaign.rows_per_s",
                                   round(result.stats.total / wall_s, 2))
-        if self.trend is not None:
-            self._append_trend(result, active, wall_s)
         return result
-
-    def _append_trend(self, result: CampaignResult, telemetry: Telemetry,
-                      wall_s: float) -> None:
-        """One run-summary record into the trend history (see ``trend``)."""
-        from ..obs import trend
-
-        if self.backend is not None:
-            backend_name = self.backend.name
-        else:
-            backend_name = "serial" if self.workers == 1 else "pool"
-        rows = telemetry.rows if telemetry.enabled else []
-        trend.append_record(self.trend, trend.make_record(
-            label="campaign",
-            scenarios=result.stats.total,
-            wall_s=wall_s,
-            backend=backend_name,
-            phase_share=trend.phase_shares(rows) if rows else None,
-            cache_hit_rate=trend.cache_hit_rates(rows) if rows else None,
-        ))
 
     def _run(self, scenarios: ScenarioSource,
              telemetry: Telemetry) -> CampaignResult:

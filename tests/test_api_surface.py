@@ -1,4 +1,4 @@
-"""Snapshot test pinning the v1 public API surface.
+"""Snapshot test pinning the public API surface.
 
 ``tests/golden/api_surface.txt`` records every name in
 ``repro.api.__all__`` with its public signatures.  An unintentional

@@ -496,7 +496,7 @@ class TestPoisonQuarantine:
                 server.stop()
 
 
-class TestBatchedRequeue:
+class TestWindowedRequeue:
     """Requeue semantics with a full pipeline window: a worker dying
     while it holds a window of unanswered jobs must cost progress, never
     results.
@@ -506,8 +506,7 @@ class TestBatchedRequeue:
     so the jobs ahead of the poison key have already been answered and
     every job behind it is still in flight when the process exits.  The
     driver must requeue all of those and every job must land exactly
-    once.  The class and test keep their pre-v7 names, from when the
-    in-flight jobs rode one batch frame.
+    once.
     """
 
     def spawn_worker(self):
@@ -524,7 +523,7 @@ class TestBatchedRequeue:
             raise RuntimeError(f"worker failed to start: {line!r}")
         return proc, line.rsplit(" ", 1)[-1].strip()
 
-    def test_poison_inside_batch_lands_every_job_exactly_once(
+    def test_poison_inside_window_lands_every_job_exactly_once(
         self, monkeypatch
     ):
         # GRID_12 with one poison key and window=64: every worker's whole

@@ -119,12 +119,11 @@ class TestEquivalenceMatrix:
                 server.stop()
 
     @pytest.mark.parametrize("window", WINDOWS)
-    def test_worker_death_mid_batch_matches_serial(self, baseline, window):
+    def test_worker_death_mid_window_matches_serial(self, baseline, window):
         # The doomed worker dies on receiving its fourth job frame, with
         # up to a whole window of jobs in flight and unanswered (at
         # window 64, its entire share of the grid); every one of them
-        # must be requeued and land exactly once.  The test keeps its
-        # pre-v7 name, from when those in-flight jobs rode one batch.
+        # must be requeued and land exactly once.
         healthy = WorkerServer()
         doomed = WorkerServer(die_after_jobs=3)
         healthy.start()
@@ -200,14 +199,3 @@ class TestObservabilityEquivalence:
         finally:
             for server in servers:
                 server.stop()
-
-    def test_trend_sidecar_does_not_touch_rows(self, baseline, tmp_path):
-        from repro.obs.trend import load_history
-        from repro.runtime import CampaignRunner
-
-        history = tmp_path / "trend.jsonl"
-        result = CampaignRunner(trend=history).run(GRID_30)
-        assert sorted_rows_blob(result.rows) == sorted_rows_blob(baseline)
-        records = load_history(history)
-        assert len(records) == 1
-        assert records[0]["scenarios"] == 30

@@ -272,11 +272,13 @@ class TestInstrumentedCampaigns:
         cov = obs_stats.coverage(telemetry.rows)
         assert cov is not None and cov >= 0.95, f"coverage {cov}"
 
+    @pytest.mark.timing
     def test_socket_overhead_dominates_execute(self, worker_process):
         """Acceptance: with the default pipelined window, each job waits
         in the worker's inbound queue while its predecessor executes, so
         dispatch+wire+queue overhead visibly exceeds execute time -- the
-        observation this subsystem exists to make."""
+        observation this subsystem exists to make.  It compares two
+        wall-clock totals, hence the ``timing`` marker."""
         telemetry = Telemetry()
         backend = SocketBackend([worker_process])
         CampaignRunner(backend=backend, telemetry=telemetry).run(GRID_30)
@@ -299,20 +301,32 @@ class TestInstrumentedCampaigns:
         assert worker_row["jobs"] == len(GRID_SMALL.expand())
         assert worker_row["rtt_ms"] != ""
 
-    @pytest.mark.parametrize("window", [1, 8])
-    def test_phase_share_bounded_by_wall(self, worker, window):
+    @pytest.mark.parametrize(
+        "workers, window", [(1, 1), (1, 8), (2, None)],
+        ids=["1", "8", "2-workers-default-window"],
+    )
+    def test_phase_share_bounded_by_wall(self, workers, window):
         """Regression: per-job phases overlap (every queued job waits at
         once), and summing them against the wall used to print shares
         like ``queue wait* 2706.5%``.  share_% now unions reconstructed
         intervals, so every phase is <= 100% of the wall -- which also
         satisfies the weaker ``share <= 100 * concurrency`` invariant
-        for any window/worker count."""
-        address = f"{worker.host}:{worker.port}"
+        for any window/worker count (``None`` is the default window)."""
+        servers = [WorkerServer() for _ in range(workers)]
+        for server in servers:
+            server.start()
         telemetry = Telemetry()
-        CampaignRunner(
-            backend=SocketBackend([address], window=window),
-            telemetry=telemetry,
-        ).run(GRID_30)
+        try:
+            CampaignRunner(
+                backend=SocketBackend(
+                    [server.address for server in servers],
+                    **({} if window is None else {"window": window}),
+                ),
+                telemetry=telemetry,
+            ).run(GRID_30)
+        finally:
+            for server in servers:
+                server.stop()
         breakdown = obs_stats.phase_breakdown(telemetry.rows)
         assert breakdown
         for row in breakdown:
