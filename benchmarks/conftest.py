@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import Iterable, List
+from typing import List
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from repro.predictions import PredictionAssignment
 from repro.runtime import ScenarioGrid
 
 
@@ -28,20 +27,6 @@ def campaign_grid() -> ScenarioGrid:
         pattern=["split", "ones"],
         seeds=3,
     )
-
-
-def hiding_assignment(n: int, faulty: Iterable[int], hide: int) -> PredictionAssignment:
-    """Predictions that hide the first ``hide`` faulty ids as honest --
-    the Theorem 13 proof construction, our worst-case-leaning workload.
-
-    Every process receives the same vector, so classification reproduces it
-    exactly; the burned budget is ``(n - f) * hide``.
-    """
-    faulty = sorted(faulty)
-    hidden = set(faulty[:hide])
-    honest = set(range(n)) - set(faulty)
-    vector = tuple(1 if (j in honest or j in hidden) else 0 for j in range(n))
-    return [vector for _ in range(n)]
 
 
 def print_table(rows: List[dict], columns: List[str], title: str) -> None:

@@ -16,11 +16,13 @@ import pytest
 
 from repro.api import Experiment
 from repro.adversary import StallingAdversary
+from repro.lowerbounds import hiding_predictions
 
-from conftest import hiding_assignment, print_table
+from conftest import print_table
 
 N, T, F = 33, 10, 10
 FAULTY = list(range(F))
+HONEST = [pid for pid in range(N) if pid >= F]
 INPUTS = [pid % 2 for pid in range(N)]
 
 VARIANTS = [
@@ -33,7 +35,7 @@ VARIANTS = [
 def run_matrix():
     rows = []
     for workload, hide in (("B=0 (perfect)", 0), ("B=max (hidden)", F)):
-        predictions = hiding_assignment(N, FAULTY, hide)
+        predictions, _ = hiding_predictions(N, HONEST, FAULTY[:hide])
         for name, arms in VARIANTS:
             report = (
                 Experiment(n=N, t=T)

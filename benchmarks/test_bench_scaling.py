@@ -13,9 +13,9 @@ import pytest
 
 from repro.api import Experiment
 from repro.adversary import StallingAdversary
-from repro.predictions import count_errors
+from repro.lowerbounds import hiding_predictions
 
-from conftest import hiding_assignment, print_table
+from conftest import print_table
 
 
 def run_sweep():
@@ -25,8 +25,7 @@ def run_sweep():
         f = max(1, n // 5)
         faulty = list(range(f))
         honest = [pid for pid in range(n) if pid >= f]
-        predictions = hiding_assignment(n, faulty, f)
-        budget = count_errors(predictions, honest).total
+        predictions, budget = hiding_predictions(n, honest, faulty)
         report = (
             Experiment(n=n, t=t)
             .with_inputs([pid % 2 for pid in range(n)])

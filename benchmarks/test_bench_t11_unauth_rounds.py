@@ -18,9 +18,9 @@ import pytest
 from repro.api import Experiment
 from repro.adversary import StallingAdversary
 from repro.core.wrapper import total_round_bound
-from repro.predictions import count_errors
+from repro.lowerbounds import hiding_predictions
 
-from conftest import hiding_assignment, print_table
+from conftest import print_table
 
 N, T, F = 33, 10, 10
 FAULTY = list(range(F))
@@ -31,8 +31,7 @@ INPUTS = [pid % 2 for pid in range(N)]
 def run_sweep():
     rows = []
     for hide in (0, 2, 5, 8, F):
-        predictions = hiding_assignment(N, FAULTY, hide)
-        budget = count_errors(predictions, HONEST).total
+        predictions, budget = hiding_predictions(N, HONEST, FAULTY[:hide])
         report = (
             Experiment(n=N, t=T)
             .with_inputs(INPUTS)

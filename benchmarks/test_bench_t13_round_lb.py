@@ -16,10 +16,9 @@ import pytest
 
 from repro.api import Experiment
 from repro.adversary import StallingAdversary
-from repro.lowerbounds import round_lower_bound
-from repro.predictions import count_errors
+from repro.lowerbounds import hiding_predictions, round_lower_bound
 
-from conftest import hiding_assignment, print_table
+from conftest import print_table
 
 N, T = 25, 7
 INPUTS = [pid % 2 for pid in range(N)]
@@ -31,8 +30,7 @@ def run_grid():
         faulty = list(range(f))
         honest = [pid for pid in range(N) if pid >= f]
         for hide in sorted({0, f // 2, f}):
-            predictions = hiding_assignment(N, faulty, hide)
-            budget = count_errors(predictions, honest).total
+            predictions, budget = hiding_predictions(N, honest, faulty[:hide])
             report = (
                 Experiment(n=N, t=T)
                 .with_inputs(INPUTS)

@@ -2,8 +2,8 @@
 
 Public API highlights:
 
-* :class:`repro.Experiment` (canonical home :mod:`repro.api`) -- the v1
-  front door: one declarative builder that compiles to scenario grids,
+* :class:`repro.Experiment` (canonical home :mod:`repro.api`) -- the one
+  front door: a declarative builder that compiles to scenario grids,
   runs single executions (:meth:`~repro.api.Experiment.solve_one`),
   campaigns over any backend (:meth:`~repro.api.Experiment.run`), and
   store-fed reports (:meth:`~repro.api.Experiment.report`).
@@ -11,15 +11,14 @@ Public API highlights:
 * :mod:`repro.adversary` -- pluggable Byzantine strategies.
 * :mod:`repro.lowerbounds` -- the paper's lower-bound constructions.
 
-:func:`repro.solve` and :func:`repro.solve_without_predictions` are the
-pre-v1 entry points, kept as deprecation shims over the
-:class:`Experiment` path (see docs/API.md for the migration table).
+docs/API.md maps the entry points removed in earlier API versions to
+their :class:`Experiment` replacements.
 
 See README.md for a quickstart and DESIGN.md for the system inventory.
 """
 
 from .api import API_VERSION, Campaign, Experiment
-from .core.api import SolveReport, run_protocol, solve, solve_without_predictions
+from .core.api import SolveReport, run_protocol
 from .core.wrapper import AUTHENTICATED, MODES, UNAUTHENTICATED, ba_with_predictions
 from .perf import CacheStats, cache_report
 from .runtime.execute import SCHEMA_VERSION
@@ -39,7 +38,5 @@ __all__ = [
     "ba_with_predictions",
     "cache_report",
     "run_protocol",
-    "solve",
-    "solve_without_predictions",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""v1 public API: one composable, versioned front door.
+"""Public API: one composable, versioned front door.
 
 Every way of running this reproduction -- a single execution, a scenario
 campaign over any backend, a rendered report -- is one
@@ -41,9 +41,8 @@ Two ingredient styles coexist:
 Versioning: :data:`API_VERSION` tracks this surface (snapshot-tested in
 ``tests/golden/api_surface.txt``); :data:`SCHEMA_VERSION` stamps every
 result row (the ``schema`` column) so stores and wire peers can detect
-incompatible layouts.  The pre-v1 entry points (``repro.solve``,
-``repro.solve_without_predictions``, ``run_scenario``) are deprecation
-shims over this module -- see docs/API.md for the migration table.
+incompatible layouts.  docs/API.md maps every entry point removed by a
+version bump to its replacement here.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ from .runtime.store import ResultStore
 
 #: Version of the public surface in this module.  Bump on any breaking
 #: signature change; the API snapshot test pins the current surface.
-API_VERSION = 2
+API_VERSION = 3
 
 _SEED_SPACE = 2**30
 
@@ -328,8 +327,8 @@ class Experiment:
 
         ``key_seed`` pins the simulated-PKI key material explicitly --
         setting it (even to 0) switches :meth:`solve_one` from the
-        scenario-derived randomness convention to the explicit pre-v1
-        convention.  ``max_rounds`` caps the engine; ``cache`` toggles
+        scenario-derived randomness convention to the engine path with
+        this seed.  ``max_rounds`` caps the engine; ``cache`` toggles
         the authenticated-mode verification caches (results are
         identical either way).
         """
@@ -416,7 +415,9 @@ class Experiment:
         (identical randomness and results to :meth:`run`); experiments
         carrying object overrides (an adversary/prediction instance, an
         explicit ``key_seed``) run the engine directly with those
-        objects, reproducing the pre-v1 ``repro.solve`` semantics.
+        objects and the given ``key_seed`` (0 when unset).  Only that
+        path accepts a single process (``n=1``) or proposals JSON cannot
+        encode (``bytes``), which no scenario can carry.
         """
         if not self._has_overrides():
             return solve_spec(

@@ -1,6 +1,6 @@
 """The paper's primary contribution: conditional BAs and the wrapper."""
 
-from .api import SolveReport, run_protocol, solve, solve_without_predictions
+from .api import SolveReport, run_protocol
 from .auth import ba_with_classification_auth
 from .unauth import ba_with_classification_unauth
 from .wrapper import (
@@ -26,7 +26,5 @@ __all__ = [
     "num_phases",
     "phase_rounds",
     "run_protocol",
-    "solve",
-    "solve_without_predictions",
     "total_round_bound",
 ]

@@ -1,22 +1,18 @@
 """Engine-level execution: configure and run one agreement execution.
 
-Since the v1 API redesign the *public* front door is
-:class:`repro.api.Experiment`; this module is the engine room underneath
-it.  :func:`_solve` wires inputs, predictions, an adversary, and the
-chosen protocol mode into a :class:`~repro.net.engine.Network`, runs
-Algorithm 1, and returns a :class:`SolveReport` with decisions and exact
-complexity measurements.  :func:`run_protocol` is the lower-level hook
+The *public* front door is :class:`repro.api.Experiment`; this module is
+the engine room underneath it.  :func:`_solve` wires inputs,
+predictions, an adversary, and the chosen protocol mode into a
+:class:`~repro.net.engine.Network`, runs Algorithm 1, and returns a
+:class:`SolveReport` with decisions and exact complexity measurements;
+:func:`_solve_baseline` does the same for the prediction-free
+early-stopping baseline.  :func:`run_protocol` is the lower-level hook
 for running any protocol coroutine (used heavily by tests and
 benchmarks).
-
-:func:`solve` and :func:`solve_without_predictions` -- the pre-redesign
-entry points -- remain as thin deprecation shims that delegate to the
-:class:`~repro.api.Experiment` path.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Sequence, Set
 
@@ -55,7 +51,7 @@ class SolveReport:
     prediction_errors: int
     metrics: MetricsCollector
     #: Per-cache hit/miss statistics (see :mod:`repro.perf`); populated by
-    #: :func:`solve` for authenticated executions, else payload stats only.
+    #: :func:`_solve` for authenticated executions, else payload stats only.
     cache_stats: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
     @property
@@ -156,8 +152,7 @@ def _solve(
 
     This is the single execution engine behind the public API: both
     :meth:`repro.api.Experiment.solve_one` and the scenario row path
-    (:func:`repro.runtime.execute.execute_spec`) bottom out here, as do
-    the deprecated :func:`solve`/:func:`solve_without_predictions` shims.
+    (:func:`repro.runtime.execute.execute_spec`) bottom out here.
 
     Args:
         n: number of processes.
@@ -305,90 +300,3 @@ def _solve_baseline(
         prediction_errors=0,
         metrics=result.metrics,
     )
-
-
-def _deprecated(old: str, new: str) -> None:
-    """Emit the one-line migration warning for a legacy entry point."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} (see docs/API.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def solve(
-    n: int,
-    t: int,
-    inputs: Sequence[Any],
-    *,
-    faulty_ids: Iterable[int] = (),
-    adversary: Optional[Adversary] = None,
-    predictions: Optional[PredictionAssignment] = None,
-    mode: str = UNAUTHENTICATED,
-    arms: Sequence[str] = ("early", "class"),
-    key_seed: int = 0,
-    max_rounds: Optional[int] = None,
-    cache: bool = True,
-) -> SolveReport:
-    """Deprecated pre-v1 front door; delegates to the Experiment path.
-
-    .. deprecated:: 1.1
-        Use :class:`repro.api.Experiment` instead::
-
-            Experiment(n=n, t=t, mode=mode).with_inputs(inputs)\\
-                .with_faults(faulty=faulty_ids).solve_one()
-
-    The shim is behavior-preserving: it routes the exact same arguments
-    through :meth:`Experiment.solve_one`, which calls the same engine
-    (:func:`_solve`), so results are byte-identical to pre-redesign
-    callers' expectations.
-    """
-    _deprecated("repro.solve()", "repro.api.Experiment(...).solve_one()")
-    from ..api import Experiment
-
-    experiment = (
-        Experiment(n=n, t=t, mode=mode)
-        .with_inputs(inputs)
-        .with_faults(faulty=faulty_ids)
-        .with_arms(*arms)
-        .with_options(key_seed=key_seed, max_rounds=max_rounds, cache=cache)
-    )
-    if adversary is not None:
-        experiment = experiment.with_adversary(adversary)
-    if predictions is not None:
-        experiment = experiment.with_predictions(predictions)
-    return experiment.solve_one()
-
-
-def solve_without_predictions(
-    n: int,
-    t: int,
-    inputs: Sequence[Any],
-    *,
-    faulty_ids: Iterable[int] = (),
-    adversary: Optional[Adversary] = None,
-    max_rounds: int = 100_000,
-) -> SolveReport:
-    """Deprecated baseline entry point; delegates to the Experiment path.
-
-    .. deprecated:: 1.1
-        Use :meth:`repro.api.Experiment.baseline`::
-
-            Experiment(n=n, t=t).with_inputs(inputs)\\
-                .with_faults(faulty=faulty_ids).baseline()
-    """
-    _deprecated(
-        "repro.solve_without_predictions()",
-        "repro.api.Experiment(...).baseline()",
-    )
-    from ..api import Experiment
-
-    experiment = (
-        Experiment(n=n, t=t)
-        .with_inputs(inputs)
-        .with_faults(faulty=faulty_ids)
-        .with_options(max_rounds=max_rounds)
-    )
-    if adversary is not None:
-        experiment = experiment.with_adversary(adversary)
-    return experiment.baseline()

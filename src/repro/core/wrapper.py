@@ -41,7 +41,7 @@ UNAUTHENTICATED = "unauthenticated"
 AUTHENTICATED = "authenticated"
 
 #: The canonical protocol modes, in declaration order.  Every mode-taking
-#: surface (``repro.api.Experiment``, the deprecated :func:`repro.solve`,
+#: surface (``repro.api.Experiment``, the engine's ``_solve``,
 #: :class:`repro.runtime.ScenarioSpec`, the CLI) validates against this
 #: tuple, so a typo'd mode fails loudly instead of silently running the
 #: unauthenticated suite.

@@ -17,7 +17,6 @@ from .montecarlo import (
     sample_trials,
     trial_stats,
 )
-from .report import generate_report
 
 __all__ = [
     "ascii_plot",
@@ -26,7 +25,6 @@ __all__ = [
     "trial_stats",
     "default_inputs",
     "format_markdown",
-    "generate_report",
     "run_single_trial",
     "run_trials",
     "TrialStats",

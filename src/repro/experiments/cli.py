@@ -672,7 +672,6 @@ def _run_version_command() -> int:
     import json
 
     from ..api import API_VERSION
-    from ..obs.metrics import METRICS_SCHEMA_VERSION
     from ..obs.spans import TELEMETRY_SCHEMA_VERSION
     from ..runtime.backends.wire import PROTOCOL_VERSION
     from ..runtime.execute import SCHEMA_VERSION
@@ -680,7 +679,6 @@ def _run_version_command() -> int:
     print(json.dumps(
         {
             "API_VERSION": API_VERSION,
-            "METRICS_SCHEMA_VERSION": METRICS_SCHEMA_VERSION,
             "PROTOCOL_VERSION": PROTOCOL_VERSION,
             "SCHEMA_VERSION": SCHEMA_VERSION,
             "TELEMETRY_SCHEMA_VERSION": TELEMETRY_SCHEMA_VERSION,

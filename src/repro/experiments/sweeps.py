@@ -45,7 +45,7 @@ def run_once(
     seed: int = 0,
 ) -> Dict[str, Any]:
     """One execution; returns a result row (see
-    :func:`repro.runtime.execute.run_scenario`)."""
+    :func:`repro.runtime.execute.execute_spec`)."""
     return _run_specs([_spec(
         n, t, f, budget,
         mode=mode, generator=generator, adversary_kind=adversary_kind,

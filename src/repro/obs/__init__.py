@@ -9,9 +9,9 @@ Import surface (everything here is stdlib-only, so lower layers like
 * :func:`load_telemetry`, :data:`TELEMETRY_SCHEMA_VERSION` -- sink I/O;
 * :func:`configure_logging`, :func:`kv` -- structured logging
   (:mod:`repro.obs.logsetup`);
-* :class:`MetricsRegistry`, :data:`NULL_METRIC` -- live counters,
-  gauges, and histograms (:mod:`repro.obs.metrics`; instrumentation
-  sites use the submodule helpers, ``from repro.obs import metrics``).
+* :class:`MetricsRegistry`, :data:`NULL_METRIC` -- live counters and
+  gauges (:mod:`repro.obs.metrics`; instrumentation sites use the
+  submodule helpers, ``from repro.obs import metrics``).
 
 :mod:`repro.obs.stats` (the ``repro stats`` renderer) and the renderer
 half of :mod:`repro.obs.live` are deliberately *not* imported here: they
@@ -21,7 +21,7 @@ Import them directly when needed.
 """
 
 from .logsetup import LOG_LEVELS, configure_logging, kv
-from .metrics import METRICS_SCHEMA_VERSION, MetricsRegistry, NULL_METRIC
+from .metrics import MetricsRegistry, NULL_METRIC
 from .spans import (
     DISABLED,
     NULL_SPAN,
@@ -38,7 +38,6 @@ from .spans import (
 __all__ = [
     "DISABLED",
     "LOG_LEVELS",
-    "METRICS_SCHEMA_VERSION",
     "MetricsRegistry",
     "NULL_METRIC",
     "NULL_SPAN",

@@ -1,4 +1,4 @@
-"""Metrics registry: process-global counters, gauges, and histograms.
+"""Metrics registry: process-global counters and gauges.
 
 The second observability layer.  Spans (:mod:`repro.obs.spans`) answer
 *where the time went* after a campaign finishes; metrics answer *what is
@@ -10,16 +10,16 @@ while the campaign runs.
 Design constraints mirror the span layer:
 
 * **near-zero overhead when disabled** -- the common case.  The
-  module-level :func:`inc` / :func:`set_gauge` / :func:`observe` helpers
-  return after one attribute check against the process-global registry,
-  and :meth:`MetricsRegistry.counter` & friends hand out one shared
-  no-op metric (:data:`NULL_METRIC`) while disabled, so the disabled
-  path allocates nothing (identity- and allocation-tested like
-  ``NULL_SPAN``);
+  module-level :func:`inc` / :func:`set_gauge` / :func:`inc_gauge`
+  helpers return after one attribute check against the process-global
+  registry, and :meth:`MetricsRegistry.counter` /
+  :meth:`MetricsRegistry.gauge` hand out one shared no-op metric
+  (:data:`NULL_METRIC`) while disabled, so the disabled path allocates
+  nothing (identity- and allocation-tested like ``NULL_SPAN``);
 * **thread-safe** -- all mutation happens under one registry lock (the
-  socket driver updates from per-worker threads);
-* **O(1) per sample** -- histograms are fixed-bucket: one bisect and
-  three integer adds per observation, never a stored sample list.
+  socket driver updates from per-worker threads).
+
+Values are read one at a time with :meth:`MetricsRegistry.value`.
 
 Activation follows the :mod:`logging` model (one process-global current
 registry, disabled by default), exactly like ``spans.activate``.
@@ -28,22 +28,9 @@ registry, disabled by default), exactly like ``spans.activate``.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional
 
 from ..analysis.watchdog import traced_lock
-
-#: Version stamp carried by :meth:`MetricsRegistry.snapshot` output, so
-#: downstream consumers can refuse layouts from the future.  Independent
-#: of the telemetry row schema.
-METRICS_SCHEMA_VERSION = 1
-
-#: Default histogram bucket upper bounds, in seconds -- sized for the
-#: durations this runtime actually sees (sub-ms lock waits up to
-#: multi-second job round trips).  The last bucket is implicit +inf.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0,
-)
 
 
 class _NullMetric:
@@ -55,9 +42,6 @@ class _NullMetric:
         pass
 
     def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
         pass
 
 
@@ -100,43 +84,8 @@ class Gauge:
             self.value += amount
 
 
-class Histogram:
-    """Fixed-bucket distribution summary: O(1) memory, O(log B) insert.
-
-    ``buckets`` are upper bounds; a final implicit +inf bucket catches
-    the tail.  No samples are retained -- only per-bucket counts, the
-    running sum, and the count, so a million observations cost the same
-    as ten.
-    """
-
-    __slots__ = ("name", "buckets", "counts", "sum", "count", "_lock")
-
-    def __init__(self, name: str, lock: Any,
-                 buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        ordered = tuple(sorted(buckets))
-        if not ordered:
-            raise ValueError("histogram needs at least one bucket bound")
-        self.name = name
-        self.buckets = ordered
-        self.counts = [0] * (len(ordered) + 1)
-        self.sum = 0.0
-        self.count = 0
-        self._lock = lock
-
-    def observe(self, value: float) -> None:
-        index = bisect_right(self.buckets, value)
-        with self._lock:
-            self.counts[index] += 1
-            self.sum += value
-            self.count += 1
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-
 class MetricsRegistry:
-    """A named family of counters, gauges, and histograms.
+    """A named family of counters and gauges.
 
     Args:
         enabled: a disabled registry records nothing and hands out the
@@ -144,8 +93,7 @@ class MetricsRegistry:
             canonical disabled instance.
 
     Metric objects are created lazily on first use and live for the
-    registry's lifetime; :meth:`snapshot` serializes the whole family
-    into one plain dict (sorted keys, JSON-ready).
+    registry's lifetime; :meth:`value` reads one of them.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -156,7 +104,6 @@ class MetricsRegistry:
         self._lock = traced_lock("MetricsRegistry._lock")
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
 
     # -- metric handles ------------------------------------------------
 
@@ -178,18 +125,6 @@ class MetricsRegistry:
                 metric = self._gauges[name] = Gauge(name, self._lock)
         return metric
 
-    def histogram(self, name: str,
-                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> Any:
-        if not self.enabled:
-            return NULL_METRIC
-        with self._lock:
-            metric = self._histograms.get(name)
-            if metric is None:
-                metric = self._histograms[name] = Histogram(
-                    name, self._lock, buckets
-                )
-        return metric
-
     # -- one-shot conveniences (the instrumentation-site API) ----------
 
     def inc(self, name: str, amount: float = 1) -> None:
@@ -197,42 +132,6 @@ class MetricsRegistry:
 
     def set_gauge(self, name: str, value: float) -> None:
         self.gauge(name).set(value)
-
-    def observe(self, name: str, value: float) -> None:
-        self.histogram(name).observe(value)
-
-    # -- serialization -------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """The whole registry as one JSON-ready dict (sorted keys).
-
-        Layout (``schema`` = :data:`METRICS_SCHEMA_VERSION`)::
-
-            {"schema": 1,
-             "counters": {name: value, ...},
-             "gauges": {name: value, ...},
-             "histograms": {name: {"buckets": [...], "counts": [...],
-                                   "sum": s, "count": n, "mean": m}, ...}}
-        """
-        with self._lock:
-            counters = {n: c.value for n, c in sorted(self._counters.items())}
-            gauges = {n: g.value for n, g in sorted(self._gauges.items())}
-            histograms = {
-                name: {
-                    "buckets": list(hist.buckets),
-                    "counts": list(hist.counts),
-                    "sum": round(hist.sum, 6),
-                    "count": hist.count,
-                    "mean": round(hist.mean, 6),
-                }
-                for name, hist in sorted(self._histograms.items())
-            }
-        return {
-            "schema": METRICS_SCHEMA_VERSION,
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-        }
 
     def value(self, name: str, default: float = 0) -> float:
         """The current value of a counter or gauge (0 when absent)."""
@@ -248,15 +147,13 @@ class MetricsRegistry:
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
-            self._histograms.clear()
 
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"
         with self._lock:
-            sizes = (len(self._counters), len(self._gauges),
-                     len(self._histograms))
+            sizes = (len(self._counters), len(self._gauges))
         return (f"<MetricsRegistry {state} counters={sizes[0]} "
-                f"gauges={sizes[1]} histograms={sizes[2]}>")
+                f"gauges={sizes[1]}>")
 
 
 #: The always-off registry every process starts with.
@@ -328,15 +225,3 @@ def inc_gauge(name: str, amount: float = 1) -> None:
     registry = _current
     if registry.enabled:
         registry.gauge(name).inc(amount)
-
-
-def observe(name: str, value: float) -> None:
-    """Record a histogram sample on the current registry (no-op off)."""
-    registry = _current
-    if registry.enabled:
-        registry.observe(name, value)
-
-
-def snapshot() -> Dict[str, Any]:
-    """The current registry's :meth:`MetricsRegistry.snapshot`."""
-    return _current.snapshot()

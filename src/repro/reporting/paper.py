@@ -299,7 +299,7 @@ def paper_report_spec(scale: str = "small") -> ReportSpec:
         "Predictions* (PODC 2025, Ben-David-Dolev-Eyal-Gafni), rendered "
         f"at scale `{scale}` by the store-fed reporting subsystem "
         "(`repro.reporting`).  Every row below was produced by "
-        "`repro.runtime.execute.run_scenario` from a content-hashed "
+        "`repro.runtime.execute.execute_spec` from a content-hashed "
         "`ScenarioSpec`; the claim checklist grades the paper's headline "
         "theorems against the measured rows using the envelopes in "
         "`repro.lowerbounds`."

@@ -42,7 +42,7 @@ from .backends import (
     WorkerServer,
     make_backend,
 )
-from .execute import SCHEMA_VERSION, execute_spec, run_scenario, solve_spec
+from .execute import SCHEMA_VERSION, execute_spec, solve_spec
 from .runner import CampaignResult, CampaignRunner, CampaignStats, run_campaign
 from .scenario import (
     INPUT_PATTERNS,
@@ -82,7 +82,6 @@ __all__ = [
     "pattern_inputs",
     "percentile",
     "run_campaign",
-    "run_scenario",
     "solve_spec",
     "summarize",
 ]

@@ -18,14 +18,12 @@ unchanged; bump :data:`SCHEMA_VERSION` on any incompatible row change.
 
 :func:`execute_spec` is the canonical entry (used by every execution
 backend); :func:`solve_spec` returns the full :class:`SolveReport` for
-the same execution (used by :meth:`repro.api.Experiment.solve_one`); the
-pre-redesign :func:`run_scenario` remains as a deprecation shim.
+the same execution (used by :meth:`repro.api.Experiment.solve_one`).
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Any, Dict, Optional
 
 from ..classify.analysis import lemma1_bound
@@ -147,22 +145,6 @@ def execute_spec(
     if collect_perf:
         row["perf"] = report.cache_stats
     return row
-
-
-def run_scenario(spec: ScenarioSpec, collect_perf: bool = False) -> Dict[str, Any]:
-    """Deprecated pre-v1 name for :func:`execute_spec`.
-
-    .. deprecated:: 1.1
-        Use :func:`execute_spec`, or the :class:`repro.api.Experiment`
-        front door (``Experiment.from_spec(spec).run().rows[0]``).
-    """
-    warnings.warn(
-        "run_scenario() is deprecated; use execute_spec() or the "
-        "repro.api.Experiment front door (see docs/API.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_spec(spec, collect_perf=collect_perf)
 
 
 def _round_lb(spec: ScenarioSpec, budget: int) -> Optional[int]:

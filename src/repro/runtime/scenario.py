@@ -1,12 +1,12 @@
 """Declarative scenario layer: specs, grids, and derived seeds.
 
 A :class:`ScenarioSpec` is a frozen, hashable description of exactly one
-agreement execution -- every knob :func:`repro.solve` takes, plus the
-prediction workload and adversary by name.  Its content hash is the
-campaign runtime's unit of identity: the :class:`ResultStore
-<repro.runtime.store.ResultStore>` caches rows by it, and the per-scenario
-RNG seed is derived from it, which is what makes a campaign bit-identical
-whether it runs serially or on N workers.
+agreement execution -- sizes, fault set, inputs, protocol mode and arms,
+plus the prediction workload and adversary by name.  Its content hash is
+the campaign runtime's unit of identity: the :class:`ResultStore
+<repro.runtime.store.ResultStore>` caches rows by it, and the
+per-scenario RNG seed is derived from it, which is what makes a campaign
+bit-identical whether it runs serially or on N workers.
 
 A :class:`ScenarioGrid` is the cartesian product of per-field axes.  It
 expands combinations no hand-written sweep expressed before (for example
@@ -96,10 +96,17 @@ class ScenarioSpec:
                 )
             if any(pid < 0 or pid >= self.n for pid in self.faulty):
                 raise ValueError("faulty ids must lie in 0..n-1")
-        if self.inputs is not None and len(self.inputs) != self.n:
-            raise ValueError(
-                f"expected {self.n} inputs, got {len(self.inputs)}"
-            )
+        if self.inputs is not None:
+            if len(self.inputs) != self.n:
+                raise ValueError(
+                    f"expected {self.n} inputs, got {len(self.inputs)}"
+                )
+            try:
+                json.dumps(self.inputs, sort_keys=True)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"inputs must be JSON-encodable: {exc}"
+                ) from None
         return self
 
     def faulty_ids(self) -> List[int]:
@@ -131,21 +138,18 @@ class ScenarioSpec:
         doc["inputs"] = list(self.inputs) if self.inputs is not None else None
         return doc
 
-    def canonical(self) -> Dict[str, Any]:
-        """Pre-v1 alias of :meth:`to_dict` (kept for compatibility)."""
-        return self.to_dict()
-
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "ScenarioSpec":
         """Rebuild a validated spec from its :meth:`to_dict` dict.
 
         The inverse of :meth:`to_dict` modulo JSON's tuple/list
         conflation (``arms``/``faulty``/``inputs`` come back as lists and
-        are re-frozen here), so ``from_dict(spec.canonical())`` has the
-        same content hash as ``spec`` -- which is what lets the socket
-        backend ship specs over the wire and workers cross-check the
-        driver's scenario key.  Unknown fields raise: a driver/worker
-        version skew must fail loudly, not drop identity-bearing state.
+        are re-frozen here, tuple-valued inputs at every depth), so
+        ``from_dict(spec.to_dict())`` has the same content hash as
+        ``spec`` -- which is what lets the socket backend ship specs over
+        the wire and workers cross-check the driver's scenario key.
+        Unknown fields raise: a driver/worker version skew must fail
+        loudly, not drop identity-bearing state.
         """
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
@@ -157,7 +161,7 @@ class ScenarioSpec:
         if doc.get("faulty") is not None:
             doc["faulty"] = tuple(doc["faulty"])
         if doc.get("inputs") is not None:
-            doc["inputs"] = tuple(doc["inputs"])
+            doc["inputs"] = _freeze(doc["inputs"])
         return cls(**doc).validate()
 
     def scenario_hash(self) -> str:
@@ -173,6 +177,13 @@ class ScenarioSpec:
     def with_seed(self, seed: int) -> "ScenarioSpec":
         """A copy of this spec with ``seed`` replaced (new content hash)."""
         return replace(self, seed=seed)
+
+
+def _freeze(value: Any) -> Any:
+    """Undo JSON's tuple-to-list conversion at every depth."""
+    if isinstance(value, list):
+        return tuple(_freeze(item) for item in value)
+    return value
 
 
 def _axis(value: Any) -> Tuple[Any, ...]:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -196,7 +195,6 @@ class ResultStore:
         """
         if self._lock_fd is not None:
             return
-        lock_start = time.perf_counter()
         with span("store.lock", path=str(self.lock_path)):
             self.path.parent.mkdir(parents=True, exist_ok=True)
             try:
@@ -227,8 +225,6 @@ class ResultStore:
         # metrics lock acquired meanwhile must nest inside it.
         lockwatch.lock_acquired(self.WRITER_LOCK_NAME)
         metrics.inc("store.lock_acquisitions")
-        metrics.observe("store.lock_wait_s",
-                        time.perf_counter() - lock_start)
 
     def _acquire_lock_exclusive_create(self) -> None:
         """Fallback lock for platforms without ``fcntl``: atomic

@@ -3,9 +3,9 @@ need their hypotheses, and the wrapper really does absorb the failures."""
 
 import pytest
 
-import repro
 from repro.adversary import StallingAdversary
 from repro.adversary.attacks import CommitteeInfiltrationAttack
+from repro.api import Experiment
 from repro.core import ba_with_classification_auth
 from repro.crypto import KeyStore
 from repro.predictions import correct_prediction
@@ -54,12 +54,13 @@ class TestCommitteeInfiltration:
         output without a graded-consensus confirmation: the identical
         attack configuration stays safe end to end."""
         predictions = [self.classification() for _ in range(self.N)]
-        report = repro.solve(
-            self.N, self.T, [pid % 2 for pid in range(self.N)],
-            faulty_ids=self.FAULTY,
-            adversary=CommitteeInfiltrationAttack("evil-a", "evil-b"),
-            predictions=predictions,
-            mode="authenticated",
+        report = (
+            Experiment(n=self.N, t=self.T, mode="authenticated")
+            .with_inputs([pid % 2 for pid in range(self.N)])
+            .with_faults(faulty=self.FAULTY)
+            .with_adversary(CommitteeInfiltrationAttack("evil-a", "evil-b"))
+            .with_predictions(predictions)
+            .solve_one()
         )
         # Agreement holds (with split inputs, *which* value wins is
         # unconstrained -- Byzantine agreement only promises unanimity).
@@ -69,12 +70,13 @@ class TestCommitteeInfiltration:
         """With unanimous honest inputs, Strong Unanimity pins the decision
         even while the committee equivocates adversarial values."""
         predictions = [self.classification() for _ in range(self.N)]
-        report = repro.solve(
-            self.N, self.T, ["real"] * self.N,
-            faulty_ids=self.FAULTY,
-            adversary=CommitteeInfiltrationAttack("evil-a", "evil-b"),
-            predictions=predictions,
-            mode="authenticated",
+        report = (
+            Experiment(n=self.N, t=self.T, mode="authenticated")
+            .with_inputs(["real"] * self.N)
+            .with_faults(faulty=self.FAULTY)
+            .with_adversary(CommitteeInfiltrationAttack("evil-a", "evil-b"))
+            .with_predictions(predictions)
+            .solve_one()
         )
         assert report.agreed
         assert report.decision == "real"
@@ -112,12 +114,13 @@ class TestStallingAdversaryContract:
         vector = tuple(
             1 if (j in set(honest) or j in hidden) else 0 for j in range(n)
         )
-        report = repro.solve(
-            n, t, [pid % 2 for pid in range(n)],
-            faulty_ids=faulty,
-            adversary=StallingAdversary(0, 1),
-            predictions=[vector] * n,
-            mode=mode,
+        report = (
+            Experiment(n=n, t=t, mode=mode)
+            .with_inputs([pid % 2 for pid in range(n)])
+            .with_faults(faulty=faulty)
+            .with_adversary(StallingAdversary(0, 1))
+            .with_predictions([vector] * n)
+            .solve_one()
         )
         assert report.agreed
 
@@ -129,14 +132,16 @@ class TestStallingAdversaryContract:
         vector = tuple(
             1 if (j in set(honest) or j in hidden) else 0 for j in range(n)
         )
-        stalled = repro.solve(
-            n, t, [pid % 2 for pid in range(n)], faulty_ids=faulty,
-            adversary=StallingAdversary(0, 1), predictions=[vector] * n,
+        experiment = (
+            Experiment(n=n, t=t)
+            .with_inputs([pid % 2 for pid in range(n)])
+            .with_faults(faulty=faulty)
+            .with_predictions([vector] * n)
         )
-        silent = repro.solve(
-            n, t, [pid % 2 for pid in range(n)], faulty_ids=faulty,
-            predictions=[vector] * n,
+        stalled = (
+            experiment.with_adversary(StallingAdversary(0, 1)).solve_one()
         )
+        silent = experiment.solve_one()
         assert stalled.agreed and silent.agreed
         assert stalled.rounds > silent.rounds
 
@@ -150,9 +155,13 @@ class TestStallingAdversaryContract:
         vector = tuple(
             1 if (j in set(honest) or j in hidden) else 0 for j in range(n)
         )
-        report = repro.solve(
-            n, t, [7] * n, faulty_ids=faulty,
-            adversary=StallingAdversary(0, 1), predictions=[vector] * n,
+        report = (
+            Experiment(n=n, t=t)
+            .with_inputs([7] * n)
+            .with_faults(faulty=faulty)
+            .with_adversary(StallingAdversary(0, 1))
+            .with_predictions([vector] * n)
+            .solve_one()
         )
         assert report.agreed
         assert report.decision == 7
@@ -167,10 +176,13 @@ class TestMutatingAdversary:
     def fingerprint(self, cache):
         from repro.adversary.registry import make_adversary
 
-        report = repro.solve(
-            7, 2, [0, 0, 0, 1, 1, 0, 1], faulty_ids=[5, 6],
-            adversary=make_adversary("mutating"), mode="authenticated",
-            key_seed=9, cache=cache,
+        report = (
+            Experiment(n=7, t=2, mode="authenticated")
+            .with_inputs([0, 0, 0, 1, 1, 0, 1])
+            .with_faults(faulty=[5, 6])
+            .with_adversary(make_adversary("mutating"))
+            .with_options(key_seed=9, cache=cache)
+            .solve_one()
         )
         return (
             sorted(report.decisions.items()), report.rounds,
@@ -181,9 +193,12 @@ class TestMutatingAdversary:
         from repro.adversary.registry import make_adversary
 
         for mode in ("unauthenticated", "authenticated"):
-            report = repro.solve(
-                7, 2, [pid % 2 for pid in range(7)], faulty_ids=[5, 6],
-                adversary=make_adversary("mutating"), mode=mode,
+            report = (
+                Experiment(n=7, t=2, mode=mode)
+                .with_inputs([pid % 2 for pid in range(7)])
+                .with_faults(faulty=[5, 6])
+                .with_adversary(make_adversary("mutating"))
+                .solve_one()
             )
             assert report.agreed
 

@@ -31,6 +31,7 @@ from repro.runtime import (
     SocketBackend,
     StoreLockError,
     WorkerServer,
+    execute_spec,
     make_backend,
     run_campaign,
 )
@@ -231,19 +232,38 @@ class TestSpecWireRoundTrip:
             faulty=(1, 5), inputs=(0, 1, 0, 1, 0, 1, 0),
         )
         # JSON round trip is exactly what the socket backend does.
-        doc = json.loads(json.dumps(spec.canonical()))
+        doc = json.loads(json.dumps(spec.to_dict()))
         rebuilt = ScenarioSpec.from_dict(doc)
         assert rebuilt == spec
         assert rebuilt.scenario_hash() == spec.scenario_hash()
 
+    def test_tuple_inputs_survive_the_round_trip(self):
+        """JSON turns tuple proposals into lists; ``from_dict`` turns
+        them back at every depth, so a worker decides on the same
+        hashable values the driver's spec carries."""
+        spec = ScenarioSpec(
+            n=5, t=1, f=1, inputs=(("block", 7),) * 4 + ((1, (2, 3)),),
+        )
+        rebuilt = ScenarioSpec.from_dict(
+            json.loads(json.dumps(spec.to_dict()))
+        )
+        assert rebuilt == spec
+        assert rebuilt.scenario_hash() == spec.scenario_hash()
+        assert execute_spec(rebuilt) == execute_spec(spec)
+
+    def test_validate_refuses_inputs_json_cannot_encode(self):
+        spec = ScenarioSpec(n=5, t=1, f=1, inputs=(b"bytes",) * 5)
+        with pytest.raises(ValueError, match="inputs"):
+            spec.validate()
+
     def test_from_dict_rejects_unknown_fields(self):
-        doc = ScenarioSpec(n=5, t=1, f=1).canonical()
+        doc = ScenarioSpec(n=5, t=1, f=1).to_dict()
         doc["surprise"] = 1
         with pytest.raises(ValueError, match="unknown scenario fields"):
             ScenarioSpec.from_dict(doc)
 
     def test_from_dict_validates(self):
-        doc = ScenarioSpec(n=5, t=1, f=1).canonical()
+        doc = ScenarioSpec(n=5, t=1, f=1).to_dict()
         doc["f"] = 4  # f > t
         with pytest.raises(ValueError):
             ScenarioSpec.from_dict(doc)

@@ -3,7 +3,7 @@ parameters."""
 
 import pytest
 
-import repro
+from repro.api import Experiment
 from repro.classify import classify, priority_order, vote_threshold
 from repro.core.api import run_protocol
 from repro.core.wrapper import num_phases, total_round_bound
@@ -14,25 +14,51 @@ from repro.predictions import perfect_predictions
 
 class TestDegenerateSizes:
     def test_single_process(self):
-        report = repro.solve(1, 0, ["only"])
+        report = (
+            Experiment(n=1, t=0)
+            .with_inputs(["only"])
+            .with_faults(faulty=[])
+            .with_options(key_seed=0)
+            .solve_one()
+        )
         assert report.agreed
         assert report.decision == "only"
 
     def test_two_processes_no_faults(self):
-        report = repro.solve(2, 0, ["a", "a"])
+        report = (
+            Experiment(n=2, t=0)
+            .with_inputs(["a", "a"])
+            .with_faults(faulty=[])
+            .solve_one()
+        )
         assert report.decision == "a"
 
     def test_four_processes_one_fault(self):
-        report = repro.solve(4, 1, [1, 1, 1, 1], faulty_ids=[3])
+        report = (
+            Experiment(n=4, t=1)
+            .with_inputs([1, 1, 1, 1])
+            .with_faults(faulty=[3])
+            .solve_one()
+        )
         assert report.decision == 1
 
     def test_t_zero_with_split_inputs(self):
-        report = repro.solve(3, 0, [0, 1, 0])
+        report = (
+            Experiment(n=3, t=0)
+            .with_inputs([0, 1, 0])
+            .with_faults(faulty=[])
+            .solve_one()
+        )
         assert report.agreed
 
     def test_minimum_unauth_resilience_boundary(self):
         # n = 3t + 1 is the boundary for t < n/3.
-        report = repro.solve(7, 2, [0, 1, 0, 1, 0, 1, 0], faulty_ids=[5, 6])
+        report = (
+            Experiment(n=7, t=2)
+            .with_inputs([0, 1, 0, 1, 0, 1, 0])
+            .with_faults(faulty=[5, 6])
+            .solve_one()
+        )
         assert report.agreed
 
 
@@ -42,18 +68,33 @@ class TestValueTypes:
         ["string", 42, -7, (1, 2, "tuple"), None, True, b"bytes"],
     )
     def test_unanimous_arbitrary_values(self, value):
-        report = repro.solve(5, 1, [value] * 5, faulty_ids=[4])
+        report = (
+            Experiment(n=5, t=1)
+            .with_inputs([value] * 5)
+            .with_faults(faulty=[4])
+            .with_options(key_seed=0)
+            .solve_one()
+        )
         assert report.agreed
         assert report.decision == value
 
     def test_mixed_types_still_agree(self):
         inputs = ["a", 1, (2,), None, "a"]
-        report = repro.solve(5, 1, inputs, faulty_ids=[])
+        report = (
+            Experiment(n=5, t=1)
+            .with_inputs(inputs)
+            .with_faults(faulty=[])
+            .solve_one()
+        )
         assert report.agreed
 
     def test_auth_mode_with_tuple_values(self):
-        report = repro.solve(
-            7, 2, [("block", 7)] * 7, faulty_ids=[6], mode="authenticated"
+        report = (
+            Experiment(n=7, t=2, mode="authenticated")
+            .with_inputs([("block", 7)] * 7)
+            .with_faults(faulty=[6])
+            .with_options(key_seed=0)
+            .solve_one()
         )
         assert report.decision == ("block", 7)
 
@@ -98,16 +139,31 @@ class TestBoundaryParameters:
         assert 0 in result.decisions
 
     def test_solve_max_rounds_override(self):
-        report = repro.solve(4, 1, [0] * 4, max_rounds=5000)
+        report = (
+            Experiment(n=4, t=1)
+            .with_inputs([0] * 4)
+            .with_faults(faulty=[])
+            .with_options(max_rounds=5000)
+            .solve_one()
+        )
         assert report.agreed
 
     def test_arms_validation(self):
+        experiment = (
+            Experiment(n=4, t=1).with_inputs([0] * 4).with_faults(faulty=[])
+        )
         with pytest.raises(ValueError, match="arms"):
-            repro.solve(4, 1, [0] * 4, arms=())
+            experiment.with_arms().solve_one()
         with pytest.raises(ValueError, match="arms"):
-            repro.solve(4, 1, [0] * 4, arms=("bogus",))
+            experiment.with_arms("bogus").solve_one()
 
     def test_single_arm_configurations_work(self):
         for arms in (("early",), ("class",)):
-            report = repro.solve(7, 2, [3] * 7, faulty_ids=[6], arms=arms)
+            report = (
+                Experiment(n=7, t=2)
+                .with_inputs([3] * 7)
+                .with_faults(faulty=[6])
+                .with_arms(*arms)
+                .solve_one()
+            )
             assert report.decision == 3

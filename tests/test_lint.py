@@ -378,17 +378,19 @@ class TestCli:
 class TestVersionCommand:
     def test_version_prints_every_constant(self, capsys):
         from repro.api import API_VERSION
-        from repro.obs.metrics import METRICS_SCHEMA_VERSION
         from repro.obs.spans import TELEMETRY_SCHEMA_VERSION
         from repro.runtime.backends.wire import PROTOCOL_VERSION
         from repro.runtime.execute import SCHEMA_VERSION
 
         assert main(["version"]) == 0
         doc = json.loads(capsys.readouterr().out)
+        assert sorted(doc) == [
+            "API_VERSION", "PROTOCOL_VERSION", "SCHEMA_VERSION",
+            "TELEMETRY_SCHEMA_VERSION",
+        ]
         assert doc["API_VERSION"] == API_VERSION
         assert doc["PROTOCOL_VERSION"] == PROTOCOL_VERSION
         assert doc["SCHEMA_VERSION"] == SCHEMA_VERSION
-        assert doc["METRICS_SCHEMA_VERSION"] == METRICS_SCHEMA_VERSION
         assert doc["TELEMETRY_SCHEMA_VERSION"] == TELEMETRY_SCHEMA_VERSION
 
     def test_version_agrees_with_the_golden(self, capsys):

@@ -2,8 +2,8 @@
 
 import pytest
 
-import repro
 from repro.adversary import ScriptedAdversary
+from repro.api import Experiment
 from repro.lowerbounds import (
     hiding_predictions,
     ignore_then_silence_attack,
@@ -52,13 +52,15 @@ class TestRoundLowerBound:
 
 class TestHidingConstruction:
     def test_budget_accounting_matches_proof(self):
-        n = 10
-        honest = list(range(7))
-        hidden = [7, 8]
-        assignment, burned = hiding_predictions(n, honest, hidden)
-        assert burned == 7 * 2
-        assert count_errors(assignment, honest).total == burned
-        assert count_errors(assignment, honest).missed_faulty == burned
+        # (n - f) * |hidden| wrong bits; hiding nothing is perfect.
+        for n, honest, hidden, expected in (
+            (10, list(range(7)), [7, 8], 7 * 2),
+            (8, list(range(1, 8)), [], 0),
+        ):
+            assignment, burned = hiding_predictions(n, honest, hidden)
+            assert burned == expected
+            assert count_errors(assignment, honest).total == burned
+            assert count_errors(assignment, honest).missed_faulty == burned
 
     def test_hidden_must_be_faulty(self):
         with pytest.raises(ValueError):
@@ -80,9 +82,14 @@ class TestMessageLowerBound:
         """Theorem 14's point: even with 100% correct predictions, a correct
         protocol pays Omega(n + t^2) messages -- and ours does."""
         for n, t, faulty in ((10, 3, [8, 9]), (13, 4, [11, 12])):
-            report = repro.solve(
-                n, t, split_inputs(n), faulty_ids=faulty,
-                predictions=perfect_predictions(n, honest_ids(n, faulty)),
+            report = (
+                Experiment(n=n, t=t)
+                .with_inputs(split_inputs(n))
+                .with_faults(faulty=faulty)
+                .with_predictions(
+                    perfect_predictions(n, honest_ids(n, faulty))
+                )
+                .solve_one()
             )
             assert report.agreed
             assert report.messages >= message_lower_bound(n, t)

@@ -24,11 +24,7 @@ import pytest
 from repro.obs import MetricsRegistry, NULL_METRIC
 from repro.obs import metrics as metrics_module
 from repro.obs.live import LiveReporter, render_worker_table
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    DISABLED_REGISTRY,
-    METRICS_SCHEMA_VERSION,
-)
+from repro.obs.metrics import DISABLED_REGISTRY
 from repro.obs.spans import Telemetry
 from repro.obs.stats import render_stats, worker_utilization
 from repro.runtime import (
@@ -63,43 +59,22 @@ class TestRegistry:
         registry.inc("c")
         registry.set_gauge("g", 7.5)
         registry.gauge("g").inc(-2.5)
-        registry.observe("h", 0.003)
-        registry.observe("h", 100.0)
         assert registry.value("c") == 3
         assert registry.value("g") == 5.0
         assert registry.value("missing", default=-1) == -1
-        hist = registry.histogram("h")
-        assert hist.count == 2
-        assert hist.counts[-1] == 1  # 100s lands in the +inf bucket
-        assert hist.mean == pytest.approx(50.0015)
-
-    def test_snapshot_layout(self):
-        registry = MetricsRegistry()
-        registry.inc("jobs", 4)
-        registry.set_gauge("inflight", 2)
-        registry.observe("wait", 0.02)
-        snap = registry.snapshot()
-        assert snap["schema"] == METRICS_SCHEMA_VERSION
-        assert snap["counters"] == {"jobs": 4}
-        assert snap["gauges"] == {"inflight": 2}
-        hist = snap["histograms"]["wait"]
-        assert hist["count"] == 1
-        assert hist["buckets"] == list(DEFAULT_BUCKETS)
-        assert len(hist["counts"]) == len(DEFAULT_BUCKETS) + 1
-        # JSON-ready end to end.
-        json.dumps(snap, sort_keys=True)
 
     def test_metric_handles_are_stable(self):
         registry = MetricsRegistry()
         assert registry.counter("x") is registry.counter("x")
         assert registry.gauge("y") is registry.gauge("y")
-        assert registry.histogram("z") is registry.histogram("z")
 
     def test_reset_drops_everything(self):
         registry = MetricsRegistry()
         registry.inc("a")
+        registry.set_gauge("b", 1)
         registry.reset()
-        assert registry.snapshot()["counters"] == {}
+        assert registry.value("a", default=None) is None
+        assert registry.value("b", default=None) is None
 
     def test_thread_safety(self):
         registry = MetricsRegistry()
@@ -118,26 +93,17 @@ class TestRegistry:
         assert registry.value("n") == 4000
         assert registry.value("level") == 0
 
-    def test_histogram_refuses_empty_buckets(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.histogram("bad", buckets=())
-
 
 class TestDisabled:
     def test_disabled_hands_out_the_shared_null_metric(self):
         assert DISABLED_REGISTRY.counter("anything") is NULL_METRIC
         assert DISABLED_REGISTRY.gauge("anything") is NULL_METRIC
-        assert DISABLED_REGISTRY.histogram("anything") is NULL_METRIC
 
     def test_disabled_records_nothing(self):
         DISABLED_REGISTRY.inc("c")
         DISABLED_REGISTRY.set_gauge("g", 1)
-        DISABLED_REGISTRY.observe("h", 1)
-        snap = DISABLED_REGISTRY.snapshot()
-        assert snap["counters"] == {}
-        assert snap["gauges"] == {}
-        assert snap["histograms"] == {}
+        assert DISABLED_REGISTRY.value("c", default=None) is None
+        assert DISABLED_REGISTRY.value("g", default=None) is None
 
     def test_disabled_module_path_allocates_nothing(self):
         """The hot path with metrics off: no per-call garbage (the same
@@ -147,13 +113,11 @@ class TestDisabled:
             metrics_module.inc("warm")
             metrics_module.set_gauge("warm", 1)
             metrics_module.inc_gauge("warm", 1)
-            metrics_module.observe("warm", 1)
         before = sys.getallocatedblocks()
         for _ in range(1000):
             metrics_module.inc("hot")
             metrics_module.set_gauge("hot", 1)
             metrics_module.inc_gauge("hot", 1)
-            metrics_module.observe("hot", 1)
         after = sys.getallocatedblocks()
         assert after - before < 50
 
@@ -187,7 +151,6 @@ class TestInstrumentation:
             store.acquire_lock()
             store.release_lock()
         assert registry.value("store.lock_acquisitions") == 1
-        assert registry.histogram("store.lock_wait_s").count == 1
 
     def test_perf_cache_report_sets_hit_rate_gauges(self):
         from repro.crypto.keys import KeyStore

@@ -329,14 +329,21 @@ class TestInstrumentedCampaigns:
                 server.stop()
         breakdown = obs_stats.phase_breakdown(telemetry.rows)
         assert breakdown
+        wall = obs_stats.campaign_wall(telemetry.rows)
+        # total_s sums durations and share_% measures their union, so
+        # total_s >= share_% / 100 * wall up to display rounding
+        # (total_s to 1e-4 s, share_% to 0.1 %).
+        rounding = 0.05 / 100 * wall + 0.00005
         for row in breakdown:
             share = row["share_%"]
             assert share != "", row
             assert 0.0 <= share <= 100.0, row
+            assert row["total_s"] >= share / 100 * wall - rounding, row
         # The overlap is real and still visible in the totals column:
-        # queue wait summed over 30 pipelined jobs exceeds any one job.
-        by_phase = {row["phase"]: row for row in breakdown}
-        assert by_phase["queue wait*"]["total_s"] >= 0.0
+        # the 30 pipelined jobs queue at once, so their summed queue
+        # wait exceeds the union of their waits.
+        queue = {row["phase"]: row for row in breakdown}["queue wait*"]
+        assert queue["total_s"] > queue["share_%"] / 100 * wall + rounding
 
     def test_ping_rtt_in_backend_summary(self, worker):
         address = f"{worker.host}:{worker.port}"

@@ -10,7 +10,6 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-import repro
 from repro.adversary import (
     PredictionLiarAdversary,
     RandomNoiseAdversary,
@@ -18,6 +17,7 @@ from repro.adversary import (
     SplitWorldAdversary,
     StallingAdversary,
 )
+from repro.api import Experiment
 from repro.classify.ordering import position_in_order, priority_order
 from repro.crypto import KeyStore, canonical_encode
 from repro.core.wrapper import total_round_bound
@@ -61,9 +61,13 @@ def test_agreement_validity_termination_unauth(scenario):
     honest = [pid for pid in range(n) if pid not in set(faulty)]
     predictions = generate(kind, n, honest, budget, random.Random(seed))
     inputs = [1] * n if unanimous else [pid % 2 for pid in range(n)]
-    report = repro.solve(
-        n, t, inputs, faulty_ids=faulty, predictions=predictions,
-        adversary=make_adversary(adversary), mode="unauthenticated",
+    report = (
+        Experiment(n=n, t=t, mode="unauthenticated")
+        .with_inputs(inputs)
+        .with_faults(faulty=faulty)
+        .with_adversary(make_adversary(adversary))
+        .with_predictions(predictions)
+        .solve_one()
     )
     assert report.agreed  # Agreement + Termination
     if unanimous:
@@ -79,10 +83,14 @@ def test_agreement_validity_termination_auth(scenario):
     honest = [pid for pid in range(n) if pid not in set(faulty)]
     predictions = generate(kind, n, honest, budget, random.Random(seed))
     inputs = [0] * n if unanimous else [pid % 2 for pid in range(n)]
-    report = repro.solve(
-        n, t, inputs, faulty_ids=faulty, predictions=predictions,
-        adversary=make_adversary(adversary), mode="authenticated",
-        key_seed=seed,
+    report = (
+        Experiment(n=n, t=t, mode="authenticated")
+        .with_inputs(inputs)
+        .with_faults(faulty=faulty)
+        .with_adversary(make_adversary(adversary))
+        .with_predictions(predictions)
+        .with_options(key_seed=seed)
+        .solve_one()
     )
     assert report.agreed
     if unanimous:

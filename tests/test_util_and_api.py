@@ -1,29 +1,14 @@
-"""Tests for shared utilities, API report surfaces, and the pre-v1
-deprecation shims (which must warn exactly once and stay byte-identical
-to the Experiment path)."""
-
-import warnings
+"""Tests for shared utilities and API report surfaces."""
 
 import pytest
 
 import repro
 from repro.api import Experiment
-from repro.runtime import ScenarioSpec, execute_spec
 from repro.util import (
     most_frequent_value,
     value_sort_key,
     values_with_count_at_least,
 )
-
-
-def _collect_deprecations(func):
-    """Run ``func`` recording DeprecationWarnings; returns (result, warns)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = func()
-    return result, [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
 
 
 class TestValueSortKey:
@@ -65,7 +50,12 @@ class TestValuesWithCount:
 
 class TestSolveReportSummary:
     def test_summary_fields(self):
-        report = repro.solve(7, 2, [0, 1] * 3 + [0], faulty_ids=[6])
+        report = (
+            Experiment(n=7, t=2)
+            .with_inputs([0, 1] * 3 + [0])
+            .with_faults(faulty=[6])
+            .solve_one()
+        )
         summary = report.summary()
         assert summary["n"] == 7
         assert summary["f"] == 1
@@ -75,81 +65,15 @@ class TestSolveReportSummary:
         assert summary["B"] == 0
 
     def test_summary_of_baseline(self):
-        report = repro.solve_without_predictions(7, 2, [1] * 7, faulty_ids=[6])
+        report = (
+            Experiment(n=7, t=2)
+            .with_inputs([1] * 7)
+            .with_faults(faulty=[6])
+            .baseline()
+        )
         summary = report.summary()
         assert summary["mode"] == "baseline-early-stopping"
         assert summary["B"] == 0
-
-
-class TestDeprecationShims:
-    """The pre-v1 entry points: one warning, identical results."""
-
-    def test_solve_warns_exactly_once(self):
-        report, warns = _collect_deprecations(
-            lambda: repro.solve(7, 2, [0, 1] * 3 + [0], faulty_ids=[6])
-        )
-        assert len(warns) == 1
-        assert "Experiment" in str(warns[0].message)
-        assert report.agreed
-
-    def test_solve_without_predictions_warns_exactly_once(self):
-        report, warns = _collect_deprecations(
-            lambda: repro.solve_without_predictions(7, 2, [1] * 7,
-                                                    faulty_ids=[6])
-        )
-        assert len(warns) == 1
-        assert report.mode == "baseline-early-stopping"
-
-    def test_run_scenario_warns_exactly_once(self):
-        from repro.runtime import run_scenario
-
-        spec = ScenarioSpec(n=7, t=2, f=2, budget=3, seed=1)
-        row, warns = _collect_deprecations(lambda: run_scenario(spec))
-        assert len(warns) == 1
-        assert "execute_spec" in str(warns[0].message)
-
-    def test_solve_shim_matches_experiment_path(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = repro.solve(
-                9, 2, [0, 1] * 4 + [0], faulty_ids=[7, 8],
-                mode="authenticated", key_seed=3,
-            )
-        new = (
-            Experiment(n=9, t=2, mode="authenticated")
-            .with_inputs([0, 1] * 4 + [0])
-            .with_faults(faulty=[7, 8])
-            .with_options(key_seed=3)
-            .solve_one()
-        )
-        assert old.summary() == new.summary()
-        assert old.decisions == new.decisions
-        assert old.bits == new.bits
-
-    def test_run_scenario_shim_matches_experiment_rows(self):
-        spec = ScenarioSpec(n=6, t=1, f=1, budget=2, adversary="noise",
-                            seed=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.runtime import run_scenario
-
-            old_row = run_scenario(spec)
-        new_row = Experiment.from_spec(spec).run().rows[0]
-        assert old_row == new_row
-        assert new_row == execute_spec(spec)
-
-    def test_baseline_shim_matches_experiment_path(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = repro.solve_without_predictions(7, 2, [1] * 7,
-                                                  faulty_ids=[5, 6])
-        new = (
-            Experiment(n=7, t=2)
-            .with_inputs([1] * 7)
-            .with_faults(faulty=[5, 6])
-            .baseline()
-        )
-        assert old.summary() == new.summary()
 
 
 class TestModeValidation:
@@ -163,12 +87,6 @@ class TestModeValidation:
             Experiment(n=7).with_mode("quantum")
         with pytest.raises(ValueError, match="unknown mode"):
             Experiment(n=7).grid(mode=["unauthenticated", "quantum"])
-
-    def test_solve_shim_rejects_unknown_mode(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="unknown mode"):
-                repro.solve(5, 1, [0] * 5, mode="quantum")
 
     def test_engine_rejects_unknown_mode(self):
         from repro.core.api import _solve

@@ -1,11 +1,10 @@
 """End-to-end tests for Algorithm 1 (guess-and-double wrapper) via the
-public :func:`repro.solve` API."""
+public :class:`repro.api.Experiment` front door."""
 
 import random
 
 import pytest
 
-import repro
 from repro.adversary import (
     CrashAdversary,
     PredictionLiarAdversary,
@@ -13,6 +12,7 @@ from repro.adversary import (
     SilentAdversary,
     SplitWorldAdversary,
 )
+from repro.api import Experiment
 from repro.core.wrapper import (
     classification_budget,
     early_stopping_budget,
@@ -71,35 +71,56 @@ class TestBudgetHelpers:
 @pytest.mark.parametrize("mode", MODES)
 class TestEndToEnd:
     def test_validity_unanimous_inputs(self, mode):
-        report = repro.solve(10, 3, [4] * 10, faulty_ids=[7, 8, 9], mode=mode)
+        report = (
+            Experiment(n=10, t=3, mode=mode)
+            .with_inputs([4] * 10)
+            .with_faults(faulty=[7, 8, 9])
+            .with_options(key_seed=0)
+            .solve_one()
+        )
         assert report.agreed
         assert report.decision == 4
 
     def test_agreement_split_inputs(self, mode):
-        report = repro.solve(
-            10, 3, split_inputs(10), faulty_ids=[7, 8, 9], mode=mode,
-            adversary=SplitWorldAdversary(0, 1),
+        report = (
+            Experiment(n=10, t=3, mode=mode)
+            .with_inputs(split_inputs(10))
+            .with_faults(faulty=[7, 8, 9])
+            .with_adversary(SplitWorldAdversary(0, 1))
+            .solve_one()
         )
         assert report.agreed
         assert report.decision in (0, 1)
 
     @pytest.mark.parametrize("name", ["silent", "split", "liar", "noise", "crash"])
     def test_agreement_under_every_adversary(self, mode, name):
-        report = repro.solve(
-            10, 3, split_inputs(10), faulty_ids=[8, 9],
-            adversary=adversaries()[name], mode=mode,
+        report = (
+            Experiment(n=10, t=3, mode=mode)
+            .with_inputs(split_inputs(10))
+            .with_faults(faulty=[8, 9])
+            .with_adversary(adversaries()[name])
+            .solve_one()
         )
         assert report.agreed
 
     def test_round_bound_respected(self, mode):
-        report = repro.solve(
-            10, 3, split_inputs(10), faulty_ids=[7, 8, 9], mode=mode,
-            adversary=SplitWorldAdversary(0, 1),
+        report = (
+            Experiment(n=10, t=3, mode=mode)
+            .with_inputs(split_inputs(10))
+            .with_faults(faulty=[7, 8, 9])
+            .with_adversary(SplitWorldAdversary(0, 1))
+            .solve_one()
         )
         assert report.rounds <= total_round_bound(3, mode)
 
     def test_no_faults_terminates_in_first_phase(self, mode):
-        report = repro.solve(10, 3, split_inputs(10), mode=mode)
+        report = (
+            Experiment(n=10, t=3, mode=mode)
+            .with_inputs(split_inputs(10))
+            .with_faults(faulty=[])
+            .with_options(key_seed=0)
+            .solve_one()
+        )
         assert report.agreed
         assert report.rounds <= 1 + phase_rounds(1, 3, mode) + phase_rounds(2, 3, mode)
 
@@ -109,15 +130,24 @@ class TestEndToEnd:
         honest = honest_ids(n, faulty)
         rng = random.Random(5)
         predictions = generate("concentrated", n, honest, 40, rng)
-        report = repro.solve(
-            n, t, split_inputs(n), faulty_ids=faulty,
-            predictions=predictions, mode=mode,
-            adversary=SplitWorldAdversary(0, 1),
+        report = (
+            Experiment(n=n, t=t, mode=mode)
+            .with_inputs(split_inputs(n))
+            .with_faults(faulty=faulty)
+            .with_adversary(SplitWorldAdversary(0, 1))
+            .with_predictions(predictions)
+            .solve_one()
         )
         assert report.agreed
 
     def test_report_metrics_populated(self, mode):
-        report = repro.solve(7, 2, split_inputs(7), faulty_ids=[6], mode=mode)
+        report = (
+            Experiment(n=7, t=2, mode=mode)
+            .with_inputs(split_inputs(7))
+            .with_faults(faulty=[6])
+            .with_options(key_seed=0)
+            .solve_one()
+        )
         assert report.rounds > 0
         assert report.messages > 0
         assert report.bits > report.messages  # multi-bit payloads
@@ -138,10 +168,13 @@ class TestPredictionQualityScaling:
             predictions = generate(
                 "concentrated", n, honest, budget, random.Random(budget)
             )
-            report = repro.solve(
-                n, t, split_inputs(n), faulty_ids=faulty,
-                predictions=predictions, mode="unauthenticated",
-                adversary=SplitWorldAdversary(0, 1),
+            report = (
+                Experiment(n=n, t=t, mode="unauthenticated")
+                .with_inputs(split_inputs(n))
+                .with_faults(faulty=faulty)
+                .with_adversary(SplitWorldAdversary(0, 1))
+                .with_predictions(predictions)
+                .solve_one()
             )
             assert report.agreed
             rounds_by_budget.append(report.rounds)
@@ -151,8 +184,12 @@ class TestPredictionQualityScaling:
         n, faulty = 8, [7]
         honest = honest_ids(n, faulty)
         predictions = generate("random", n, honest, 9, random.Random(1))
-        report = repro.solve(
-            n, 2, split_inputs(n), faulty_ids=faulty, predictions=predictions
+        report = (
+            Experiment(n=n, t=2)
+            .with_inputs(split_inputs(n))
+            .with_faults(faulty=faulty)
+            .with_predictions(predictions)
+            .solve_one()
         )
         assert report.prediction_errors == 9
 
@@ -160,23 +197,27 @@ class TestPredictionQualityScaling:
 class TestInputValidation:
     def test_wrong_input_count(self):
         with pytest.raises(ValueError, match="inputs"):
-            repro.solve(5, 1, [0, 1])
+            Experiment(n=5, t=1).with_inputs([0, 1]).with_faults(
+                faulty=[]).solve_one()
 
     def test_too_many_faulty(self):
         with pytest.raises(ValueError, match="exceeds"):
-            repro.solve(5, 1, [0] * 5, faulty_ids=[3, 4])
+            Experiment(n=5, t=1).with_inputs([0] * 5).with_faults(
+                faulty=[3, 4]).with_options(key_seed=0).solve_one()
 
     def test_faulty_out_of_range(self):
         with pytest.raises(ValueError, match="0..n-1"):
-            repro.solve(5, 2, [0] * 5, faulty_ids=[9])
+            Experiment(n=5, t=2).with_inputs([0] * 5).with_faults(
+                faulty=[9]).solve_one()
 
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):
-            repro.solve(5, 1, [0] * 5, mode="quantum")
+            Experiment(n=5, t=1, mode="quantum")
 
     def test_bad_predictions_shape(self):
         with pytest.raises(ValueError):
-            repro.solve(5, 1, [0] * 5, predictions=[(1, 1)] * 5)
+            Experiment(n=5, t=1).with_inputs([0] * 5).with_faults(
+                faulty=[]).with_predictions([(1, 1)] * 5).solve_one()
 
     def test_decision_property_raises_on_disagreement(self):
         from repro.core.api import SolveReport
