@@ -21,7 +21,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.runtime import ScenarioGrid, SerialBackend, SocketBackend, run_campaign
+from repro.runtime import (
+    CampaignRunner,
+    ScenarioGrid,
+    SerialBackend,
+    SocketBackend,
+)
 
 from conftest import print_table
 
@@ -58,7 +63,7 @@ def spawn_worker() -> "tuple[subprocess.Popen, str]":
 
 def timed(backend, label):
     start = time.perf_counter()
-    result = run_campaign(GRID, backend=backend)
+    result = CampaignRunner(backend=backend).run(GRID)
     wall = time.perf_counter() - start
     assert result.stats.failed == 0
     assert result.stats.executed == GRID.size()

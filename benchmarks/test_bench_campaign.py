@@ -12,7 +12,7 @@ adversary families x input patterns x seeds) must
 
 import pytest
 
-from repro.runtime import ResultStore, run_campaign, summarize
+from repro.runtime import CampaignRunner, PoolBackend, ResultStore, summarize
 
 from conftest import campaign_grid, print_table
 
@@ -25,8 +25,9 @@ def test_campaign_pool_determinism_and_cache(benchmark, tmp_path):
     assert grid.size() >= 200
 
     store = ResultStore(tmp_path / "campaign.jsonl")
+    runner = CampaignRunner(store=store, backend=PoolBackend(workers=WORKERS))
     parallel = benchmark.pedantic(
-        lambda: run_campaign(grid, workers=WORKERS, store=store),
+        lambda: runner.run(grid),
         rounds=1,
         iterations=1,
     )
@@ -35,11 +36,11 @@ def test_campaign_pool_determinism_and_cache(benchmark, tmp_path):
     assert parallel.stats.failed == 0
 
     # Determinism: a serial run is row-for-row identical to the pool run.
-    serial = run_campaign(grid, workers=1)
+    serial = CampaignRunner().run(grid)
     assert serial.rows == parallel.rows
 
     # Resumability: the rerun executes nothing and reproduces every row.
-    rerun = run_campaign(grid, workers=WORKERS, store=store)
+    rerun = runner.run(grid)
     assert rerun.stats.executed == 0
     assert rerun.stats.cached == grid.size()
     assert rerun.rows == parallel.rows

@@ -49,13 +49,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from contextlib import ExitStack
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .adversary.registry import adversary_spec, make_adversary
 from .core.api import SolveReport, _solve, _solve_baseline
 from .core.wrapper import AUTHENTICATED, MODES, UNAUTHENTICATED
 from .net.adversary import Adversary
-from .obs import Telemetry, configure_logging
+from .obs import Telemetry
 from .predictions.generators import GENERATORS, generate
 from .reporting.render import write_report
 from .reporting.spec import Report, ReportSpec, TableSpec, build_report
@@ -71,11 +72,11 @@ from .runtime.scenario import (
     default_t,
     pattern_inputs,
 )
-from .runtime.store import ResultStore
+from .runtime.store import ResultStore, open_store
 
 #: Version of the public surface in this module.  Bump on any breaking
 #: signature change; the API snapshot test pins the current surface.
-API_VERSION = 3
+API_VERSION = 4
 
 _SEED_SPACE = 2**30
 
@@ -467,41 +468,24 @@ class Experiment:
         store: Optional[Union[str, ResultStore]] = None,
         workers: int = 1,
         backend: Optional[Union[str, Backend]] = None,
-        connect: Sequence[str] = (),
-        job_timeout: float = 300.0,
-        require_all: bool = False,
-        connect_retries: int = 2,
-        backoff: float = 0.5,
-        chunk_size: Optional[int] = None,
-        mp_context: str = "fork",
-        lock: bool = True,
         telemetry: Optional[Union[str, Telemetry]] = None,
         live: bool = False,
-        log_level: Optional[str] = None,
     ) -> "Campaign":
         """Execute every scenario (cached rows served from ``store``).
 
         Args:
             store: result store path or instance; completed scenarios
-                are served from it and fresh rows persisted to it.
-            workers: local pool size when no explicit backend is given.
-            backend: a :class:`Backend` instance, a backend name
-                (``"serial"``/``"pool"``/``"socket"``/``"auto"``), or
-                ``None`` for the workers-based default.  Name-built
-                backends are closed after the run; instances are the
-                caller's to close.
-            connect: socket-backend worker endpoints (implies socket).
-            job_timeout: socket heartbeat/requeue timeout in seconds.
-            require_all: fail fast unless every ``connect`` endpoint is
-                reachable (socket backend; default tolerates a partial
-                fleet).
-            connect_retries: extra connect rounds for unreachable socket
-                workers, with exponential backoff from ``backoff``.
-            backoff: base backoff seconds for socket connect retries and
-                mid-campaign reconnects.
-            chunk_size / mp_context: pool-backend tuning.
-            lock: hold the store's exclusive writer lockfile while
-                executing (see :class:`CampaignRunner`).
+                are served from it and fresh rows persisted to it.  A
+                store opened from a path is closed when the run ends.
+            workers: local worker count for a backend built by name.
+            backend: a :class:`Backend` instance (e.g. a
+                :class:`~repro.runtime.backends.SocketBackend` over
+                remote workers), or a name (``"serial"``/``"pool"``/
+                ``"auto"``, the default ``None`` meaning ``"auto"``)
+                handed with ``workers`` to
+                :func:`~repro.runtime.backends.make_backend`.  A backend
+                built by name is closed after the run; an instance is
+                the caller's to close.
             telemetry: observability sidecar -- a JSONL sink path
                 (render it with ``python -m repro stats PATH``) or a
                 :class:`~repro.obs.Telemetry` instance.  Phase timings
@@ -510,41 +494,24 @@ class Experiment:
             live: render a live progress line (throughput, ETA,
                 per-worker state) to stderr while the campaign runs;
                 rows stay byte-identical with the live view on or off.
-            log_level: configure the ``repro`` logging tree at this
-                level (``debug``/``info``/...) before running, exactly
-                like the CLI ``--log-level`` flags.
 
         Returns:
             A :class:`Campaign` with rows in scenario order.
         """
         self._require_declarative("run()")
-        if log_level is not None:
-            configure_logging(log_level)
-        if isinstance(store, str) or hasattr(store, "__fspath__"):
-            store = ResultStore(store)
-        resolved, owned = self._resolve_backend(
-            backend, workers=workers, connect=connect,
-            job_timeout=job_timeout, require_all=require_all,
-            connect_retries=connect_retries, backoff=backoff,
-        )
-        try:
+        with ExitStack() as stack:
+            if not isinstance(backend, Backend):
+                backend = stack.enter_context(
+                    make_backend(backend, workers=workers)
+                )
+            opened = stack.enter_context(open_store(store))
             runner = CampaignRunner(
-                store=store,
-                workers=workers,
-                chunk_size=chunk_size,
-                mp_context=mp_context,
-                backend=resolved,
-                lock=lock,
-                telemetry=telemetry,
-                live=live,
+                store=opened, backend=backend, telemetry=telemetry, live=live,
             )
             result = runner.run(self.scenarios())
-            summary = resolved.summary() if resolved is not None else None
-        finally:
-            if owned:
-                resolved.close()
+            summary = backend.summary()
         return Campaign(
-            experiment=self, result=result, store=store,
+            experiment=self, result=result, store=opened,
             backend_summary=summary,
             telemetry=telemetry if isinstance(telemetry, Telemetry) else None,
         )
@@ -554,21 +521,16 @@ class Experiment:
         spec: Optional[ReportSpec] = None,
         *,
         store: Optional[Union[str, ResultStore]] = None,
-        workers: int = 1,
         backend: Optional[Union[str, Backend]] = None,
-        connect: Sequence[str] = (),
-        job_timeout: float = 300.0,
-        require_all: bool = False,
-        connect_retries: int = 2,
-        backoff: float = 0.5,
     ) -> Report:
         """Build a report, executing only scenarios the store is missing.
 
         With ``spec=None`` a single-table :class:`ReportSpec` over this
         experiment's scenarios is synthesized; otherwise the given spec's
         scenarios are used and this experiment only supplies the
-        execution context (store/backend/workers) -- the
-        ``python -m repro report`` path.
+        execution context (store/backend) -- the ``python -m repro
+        report`` path.  ``store`` and ``backend`` are taken as in
+        :meth:`run`.
         """
         self._require_declarative("report()")
         if spec is None:
@@ -585,18 +547,10 @@ class Experiment:
                     )
                 ],
             )
-        resolved, owned = self._resolve_backend(
-            backend, workers=workers, connect=connect,
-            job_timeout=job_timeout, require_all=require_all,
-            connect_retries=connect_retries, backoff=backoff,
-        )
-        try:
-            return build_report(
-                spec, store=store, workers=workers, backend=resolved
-            )
-        finally:
-            if owned:
-                resolved.close()
+        with ExitStack() as stack:
+            if not isinstance(backend, Backend):
+                backend = stack.enter_context(make_backend(backend))
+            return build_report(spec, store=store, backend=backend)
 
     # -- internals -----------------------------------------------------
 
@@ -663,8 +617,11 @@ class Experiment:
         if self._faulty is not None:
             faulty = sorted(set(self._faulty))
         else:
+            # Same f = t default as ScenarioGrid.expand.
             f = self._single("f")
-            faulty = list(range(n - f, n)) if f is not None else []
+            if f is None:
+                f = t
+            faulty = list(range(n - f, n))
         kwargs: Dict[str, Any] = {}
         adversary = self._adversary_obj
         if adversary is None and self._axes["adversary"] != ("silent",):
@@ -687,35 +644,6 @@ class Experiment:
                 )
         kwargs["predictions"] = predictions
         return inputs, faulty, kwargs
-
-    def _resolve_backend(
-        self,
-        backend: Optional[Union[str, Backend]],
-        *,
-        workers: int,
-        connect: Sequence[str],
-        job_timeout: float,
-        require_all: bool = False,
-        connect_retries: int = 2,
-        backoff: float = 0.5,
-    ) -> Tuple[Optional[Backend], bool]:
-        """The backend to run on, plus whether this call owns it."""
-        if isinstance(backend, Backend):
-            return backend, False
-        if backend in (None, "auto") and not connect:
-            return None, False  # CampaignRunner's workers-based default
-        return (
-            make_backend(
-                backend or "auto",
-                workers=workers,
-                connect=list(connect),
-                job_timeout=job_timeout,
-                require_all=require_all,
-                connect_retries=connect_retries,
-                backoff=backoff,
-            ),
-            True,
-        )
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-stable description of a declarative experiment (the
@@ -760,7 +688,7 @@ class Campaign:
         self.result = result
         self.store = store
         #: One human line from the backend that ran the pending set
-        #: (``None`` for the default serial path or when nothing ran).
+        #: (``None`` when it has nothing to report, as for serial).
         self.backend_summary = backend_summary
         #: The :class:`~repro.obs.Telemetry` the campaign recorded into,
         #: when the caller passed an instance (sink paths are closed

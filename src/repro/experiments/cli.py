@@ -29,7 +29,8 @@ Examples::
 
 The CLI is a thin shell over the v1 front door
 (:class:`repro.api.Experiment` -- ``campaign`` and ``report`` are
-``Experiment.run()`` / ``Experiment.report()`` with flags) plus
+``Experiment.run()`` / ``Experiment.report()`` on the backend
+:func:`~repro.runtime.backends.make_backend` builds from the flags) plus
 :mod:`repro.experiments.sweeps` for the small historical subcommands;
 anything it prints can be reproduced programmatically.
 """
@@ -50,7 +51,12 @@ from ..obs.logsetup import LOG_LEVELS, configure_logging
 from ..predictions.generators import GENERATORS
 from ..reporting.paper import SCALES as REPORT_SCALES, paper_report_spec
 from ..reporting.render import format_table, write_report
-from ..runtime.backends import BACKEND_NAMES, BackendError
+from ..runtime.backends import (
+    BACKEND_NAMES,
+    Backend,
+    BackendError,
+    make_backend,
+)
 from ..runtime.scenario import INPUT_PATTERNS
 from ..runtime.store import ResultStore, StoreLockError
 from .sweeps import run_once, sweep_budget, sweep_faults
@@ -401,6 +407,20 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _backend_from_flags(args: argparse.Namespace) -> Backend:
+    """The backend the shared ``--backend``/``--workers``/socket flags
+    select; the command closes it when its run ends."""
+    return make_backend(
+        args.backend,
+        workers=args.workers,
+        connect=args.connect,
+        job_timeout=args.job_timeout,
+        require_all=args.require_all,
+        connect_retries=args.connect_retries,
+        backoff=args.backoff,
+    )
+
+
 def _profile_scenario(experiment: Experiment, top: int) -> int:
     """Profile the experiment's first scenario; print top-``top`` stats."""
     import cProfile
@@ -436,7 +456,7 @@ def _profile_scenario(experiment: Experiment, top: int) -> int:
     return 0
 
 
-def _run_campaign_command(args: argparse.Namespace) -> int:
+def _campaign_command(args: argparse.Namespace) -> int:
     try:
         experiment = Experiment(
             n=args.n,
@@ -454,20 +474,16 @@ def _run_campaign_command(args: argparse.Namespace) -> int:
         return 2
     if args.profile is not None:
         return _profile_scenario(experiment, args.profile)
+    if args.log_level is not None:
+        configure_logging(args.log_level)
     try:
-        campaign = experiment.run(
-            store=args.store or None,
-            workers=args.workers,
-            backend=args.backend,
-            connect=args.connect,
-            job_timeout=args.job_timeout,
-            require_all=args.require_all,
-            connect_retries=args.connect_retries,
-            backoff=args.backoff,
-            telemetry=args.telemetry or None,
-            live=args.live,
-            log_level=args.log_level,
-        )
+        with _backend_from_flags(args) as backend:
+            campaign = experiment.run(
+                store=args.store or None,
+                backend=backend,
+                telemetry=args.telemetry or None,
+                live=args.live,
+            )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -516,7 +532,7 @@ def _run_campaign_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_report_command(args: argparse.Namespace) -> int:
+def _report_command(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     if args.log_level is not None:
@@ -527,17 +543,9 @@ def _run_report_command(args: argparse.Namespace) -> int:
         print(f"report[{args.scale}]: store {store_path} holds "
               f"{len(store)} row(s)")
         try:
-            report = Experiment().report(
-                spec,
-                store=store,
-                workers=args.workers,
-                backend=args.backend,
-                connect=args.connect,
-                job_timeout=args.job_timeout,
-                require_all=args.require_all,
-                connect_retries=args.connect_retries,
-                backoff=args.backoff,
-            )
+            with _backend_from_flags(args) as backend:
+                report = Experiment().report(spec, store=store,
+                                             backend=backend)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -563,7 +571,7 @@ def _run_report_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_worker_command(args: argparse.Namespace) -> int:
+def _worker_command(args: argparse.Namespace) -> int:
     from ..runtime.backends.chaos import ChaosPolicy
     from ..runtime.backends.worker import serve
 
@@ -599,7 +607,7 @@ def _store_counts(store: ResultStore) -> str:
     )
 
 
-def _run_store_command(args: argparse.Namespace) -> int:
+def _store_command(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     if args.store_command == "compact":
@@ -666,7 +674,7 @@ def _run_store_command(args: argparse.Namespace) -> int:
     raise AssertionError(args.store_command)
 
 
-def _run_version_command() -> int:
+def _version_command() -> int:
     """One JSON object with every version constant a peer can diverge
     on -- the human-readable face of the frame-schema golden."""
     import json
@@ -691,13 +699,13 @@ def _run_version_command() -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "campaign":
-        return _run_campaign_command(args)
+        return _campaign_command(args)
     if args.command == "report":
-        return _run_report_command(args)
+        return _report_command(args)
     if args.command == "worker":
-        return _run_worker_command(args)
+        return _worker_command(args)
     if args.command == "store":
-        return _run_store_command(args)
+        return _store_command(args)
     if args.command == "stats":
         # Imported directly (not via repro.obs) -- see repro.obs.stats.
         from ..obs.stats import main_stats
@@ -713,7 +721,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             golden=args.golden, write=args.write,
         )
     if args.command == "version":
-        return _run_version_command()
+        return _version_command()
     common = dict(
         mode=getattr(args, "mode", UNAUTHENTICATED),
         generator=getattr(args, "generator", "concentrated"),

@@ -12,15 +12,18 @@ callers pick the logger and level::
 :func:`configure_logging` installs a stderr handler on the ``repro``
 logger exactly once (idempotent), so library imports never configure
 logging behind an application's back -- only the CLI entry points call
-it.  Propagation stays on, so test harnesses (``caplog``) and host
-applications with root handlers still see everything.
+it.  The handler writes to whatever ``sys.stderr`` is when a record is
+emitted, so a stream swapped out later (a test harness's capture,
+closed when the test ends) is never written to again.  Propagation
+stays on, so test harnesses (``caplog``) and host applications with
+root handlers still see everything.
 """
 
 from __future__ import annotations
 
 import logging
 import sys
-from typing import Any, Optional, TextIO
+from typing import Any, TextIO
 
 #: Accepted ``--log-level`` names, mapped to stdlib levels.
 LOG_LEVELS = {
@@ -32,7 +35,20 @@ LOG_LEVELS = {
 
 _FORMAT = "%(asctime)s %(levelname)s %(name)s %(message)s"
 _DATEFMT = "%H:%M:%S"
-_HANDLER_FLAG = "_repro_obs_handler"
+
+
+class _StderrHandler(logging.StreamHandler):
+    """A stream handler bound to the current ``sys.stderr``, looked up
+    on every emit rather than once at construction."""
+
+    def __init__(self) -> None:
+        # Skip StreamHandler.__init__: it would assign ``stream``, which
+        # this class reads from ``sys.stderr`` instead of storing.
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self) -> TextIO:  # type: ignore[override]
+        return sys.stderr
 
 
 def kv(event: str, **fields: Any) -> str:
@@ -49,14 +65,13 @@ def kv(event: str, **fields: Any) -> str:
     return " ".join(parts)
 
 
-def configure_logging(level: str = "info",
-                      stream: Optional[TextIO] = None) -> logging.Logger:
+def configure_logging(level: str = "info") -> logging.Logger:
     """Attach one stderr handler to the ``repro`` logger and set its level.
 
     Idempotent: a handler installed by a previous call is re-leveled, not
-    duplicated.  ``stream`` defaults to ``sys.stderr`` so worker stdout
-    stays reserved for its machine-parsed ``worker listening on ...``
-    line.  Returns the configured logger.
+    duplicated.  The handler writes to stderr so worker stdout stays
+    reserved for its machine-parsed ``worker listening on ...`` line.
+    Returns the configured logger.
     """
     try:
         resolved = LOG_LEVELS[level.lower()]
@@ -67,16 +82,12 @@ def configure_logging(level: str = "info",
         ) from None
     logger = logging.getLogger("repro")
     handler = next(
-        (h for h in logger.handlers if getattr(h, _HANDLER_FLAG, False)),
-        None,
+        (h for h in logger.handlers if isinstance(h, _StderrHandler)), None
     )
     if handler is None:
-        handler = logging.StreamHandler(stream or sys.stderr)
+        handler = _StderrHandler()
         handler.setFormatter(logging.Formatter(_FORMAT, datefmt=_DATEFMT))
-        setattr(handler, _HANDLER_FLAG, True)
         logger.addHandler(handler)
-    elif stream is not None:
-        handler.setStream(stream)
     logger.setLevel(resolved)
     handler.setLevel(resolved)
     return logger

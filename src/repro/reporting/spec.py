@@ -12,9 +12,9 @@ function of its scenario's content hash, the built report -- and any
 document rendered from it -- is byte-identical run over run.
 
 The v1 front door wraps this layer: :meth:`repro.api.Experiment.report`
-is :func:`build_report` plus backend resolution, and with no explicit
-spec it synthesizes a single-table report over the experiment's own
-scenarios.  Rows served here carry the ``schema`` stamp
+is :func:`build_report` on a backend it may build by name, and with no
+explicit spec it synthesizes a single-table report over the experiment's
+own scenarios.  Rows served here carry the ``schema`` stamp
 (:data:`repro.runtime.execute.SCHEMA_VERSION`) when freshly executed;
 legacy schema-less store rows render identically.
 """
@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ..runtime.backends import Backend
 from ..runtime.runner import CampaignRunner, CampaignStats
 from ..runtime.scenario import ScenarioSpec
-from ..runtime.store import ResultStore
+from ..runtime.store import ResultStore, open_store
 
 Row = Dict[str, Any]
 #: Optional per-row enrichment: ``derive(row, scenario)`` returns extra
@@ -161,21 +161,19 @@ class Report:
 def table_rows(
     table: TableSpec,
     store: Optional[Union[str, ResultStore]] = None,
-    workers: int = 1,
     backend: Optional[Backend] = None,
 ) -> List[Row]:
     """Build one table's derived rows (convenience for single-table use)."""
     spec = ReportSpec(
         title=table.title, scale="adhoc", preamble="", tables=[table]
     )
-    built = build_report(spec, store=store, workers=workers, backend=backend)
+    built = build_report(spec, store=store, backend=backend)
     return built.tables[table.name]
 
 
 def build_report(
     spec: ReportSpec,
     store: Optional[Union[str, ResultStore]] = None,
-    workers: int = 1,
     backend: Optional[Backend] = None,
 ) -> Report:
     """Materialize a :class:`ReportSpec` into measured rows and verdicts.
@@ -184,14 +182,14 @@ def build_report(
         spec: the report declaration.
         store: optional result store (path or instance).  Rows already in
             the store are served without execution; missing scenarios are
-            executed through :class:`CampaignRunner` and persisted.
-        workers: worker-pool size for the missing scenarios.
+            executed through :class:`CampaignRunner` and persisted.  A
+            store opened from a path is closed before returning.
         backend: optional execution backend for the missing scenarios
             (e.g. a connected :class:`SocketBackend
-            <repro.runtime.backends.SocketBackend>`); overrides
-            ``workers``.  The same interface serves campaigns and
-            reports, so a warm store renders identically whichever
-            backend filled it.
+            <repro.runtime.backends.SocketBackend>`); serial when
+            ``None``.  The same interface serves campaigns and reports,
+            so a warm store renders identically whichever backend
+            filled it.
 
     Returns:
         A :class:`Report`; ``report.stats.executed`` is 0 when the store
@@ -201,10 +199,9 @@ def build_report(
         RuntimeError: if any scenario fails to execute (failed rows are
         never persisted, so the next build retries them).
     """
-    if isinstance(store, str) or hasattr(store, "__fspath__"):
-        store = ResultStore(store)
-    runner = CampaignRunner(store=store, workers=workers, backend=backend)
-    result = runner.run(spec.scenarios()).raise_on_failure()
+    with open_store(store) as opened:
+        runner = CampaignRunner(store=opened, backend=backend)
+        result = runner.run(spec.scenarios()).raise_on_failure()
 
     tables: Dict[str, List[Row]] = {}
     cursor = 0

@@ -16,7 +16,7 @@ repository:
   semantics), :class:`PoolBackend` (``multiprocessing``), and
   :class:`SocketBackend` (TCP workers started with ``python -m repro
   worker``, with hash-space sharding, work stealing, heartbeats, and
-  dead-worker requeue);
+  dead-worker requeue), built by name with :func:`make_backend`;
 * :mod:`~repro.runtime.runner` -- :class:`CampaignRunner`, the thin
   orchestrator (store cache, dedup, ordering, writer lock) over any
   backend; output is bit-identical whichever backend runs it;
@@ -43,7 +43,7 @@ from .backends import (
     make_backend,
 )
 from .execute import SCHEMA_VERSION, execute_spec, solve_spec
-from .runner import CampaignResult, CampaignRunner, CampaignStats, run_campaign
+from .runner import CampaignResult, CampaignRunner, CampaignStats
 from .scenario import (
     INPUT_PATTERNS,
     MODES,
@@ -81,7 +81,6 @@ __all__ = [
     "mean",
     "pattern_inputs",
     "percentile",
-    "run_campaign",
     "solve_spec",
     "summarize",
 ]

@@ -16,8 +16,10 @@ implementations:
 
 :class:`~repro.runtime.runner.CampaignRunner` orchestrates any of them;
 because every row is a pure function of its scenario's content hash, all
-three produce byte-identical campaigns.  :func:`make_backend` is the
-name-based factory the CLI uses.
+three produce byte-identical campaigns.  :func:`make_backend` is the one
+factory that builds and validates a backend from a name and settings
+(the CLI flags and ``Experiment.run(backend="pool", workers=N)`` both go
+through it).
 """
 
 from __future__ import annotations
@@ -41,25 +43,27 @@ def make_backend(
     *,
     workers: int = 1,
     connect: Sequence[str] = (),
-    chunk_size: Optional[int] = None,
-    mp_context: str = "fork",
     job_timeout: float = 300.0,
     require_all: bool = False,
     connect_retries: int = 2,
     backoff: float = 0.5,
-    chaos: Optional[ChaosPolicy] = None,
 ) -> Backend:
-    """Build a backend by name.
+    """Build a backend by name; the caller closes it (``with`` works).
 
     ``None``/``"auto"`` picks :class:`SerialBackend` for ``workers == 1``
-    (:class:`SocketBackend` if ``connect`` is non-empty) and
-    :class:`PoolBackend` otherwise -- the historical behaviour of
-    ``CampaignRunner(workers=N)``.  An explicit ``"pool"`` uses at least
-    2 processes (a 1-process pool is just a slower serial).  ``"socket"``
-    requires at least one ``HOST:PORT`` in ``connect``; ``require_all``,
-    ``connect_retries``, ``backoff`` and ``chaos`` are socket-only knobs
-    (see :class:`SocketBackend`).
+    (:class:`SocketBackend` if ``connect`` is non-empty) and a
+    :class:`PoolBackend` of ``workers`` processes otherwise.  An explicit
+    ``"pool"`` uses at least 2 processes (a 1-process pool is just a
+    slower serial).  ``"socket"`` requires at least one ``HOST:PORT`` in
+    ``connect``; ``job_timeout``, ``require_all``, ``connect_retries``
+    and ``backoff`` are socket-only knobs (see :class:`SocketBackend`).
+
+    Raises:
+        ValueError: ``workers < 1``, an unknown name, ``connect`` with a
+            local backend, or ``"socket"`` without ``connect``.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if name is None or name == "auto":
         name = "serial" if workers == 1 and not connect else (
             "socket" if connect else "pool"
@@ -73,10 +77,7 @@ def make_backend(
     if name == "serial":
         return SerialBackend()
     if name == "pool":
-        return PoolBackend(
-            workers=max(workers, 2), chunk_size=chunk_size,
-            mp_context=mp_context,
-        )
+        return PoolBackend(workers=max(workers, 2))
     if name == "socket":
         if not connect:
             raise ValueError(
@@ -84,7 +85,7 @@ def make_backend(
             )
         return SocketBackend(
             list(connect), job_timeout=job_timeout, require_all=require_all,
-            connect_retries=connect_retries, backoff=backoff, chaos=chaos,
+            connect_retries=connect_retries, backoff=backoff,
         )
     raise ValueError(
         f"unknown backend {name!r} (known: {', '.join(BACKEND_NAMES)})"

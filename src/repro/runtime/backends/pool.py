@@ -1,16 +1,15 @@
-"""Multiprocessing backend: the original ``CampaignRunner`` pool path.
+"""Multiprocessing backend: one machine, many cores.
 
-Extracted verbatim from the pre-backend runner so ``workers=N`` campaigns
-behave exactly as before: chunked ``imap_unordered`` scheduling over a
-``fork`` (default) or ``spawn`` context.  Scheduling order is irrelevant
-because rows are keyed by content hash and reassembled by the runner.
+Chunked ``imap_unordered`` scheduling over a process pool.  Scheduling
+order is irrelevant because rows are keyed by content hash and
+reassembled by the runner.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 from ...obs.spans import current
 from .base import Backend, Job, JobResult, execute_job, timed_execute_job
@@ -23,27 +22,21 @@ class PoolBackend(Backend):
         workers: pool size (>= 1; a 1-process pool is valid but
             :class:`~repro.runtime.backends.serial.SerialBackend` is the
             better choice there).
-        chunk_size: scenarios per pool task; defaults to an even split
-            across ``4 * workers`` chunks (bounded below by 1).
-        mp_context: start method; ``fork`` (default) keeps worker startup
-            cheap on Linux, ``spawn`` works everywhere.
+
+    Each :meth:`submit` splits its jobs evenly over ``4 * workers``
+    chunks (at least one job each) and starts its pool with ``fork``,
+    which keeps worker startup cheap on Linux, falling back to ``spawn``
+    where ``fork`` is unavailable.
     """
 
     name = "pool"
     parallel = True
     distributed = False
 
-    def __init__(
-        self,
-        workers: int = 2,
-        chunk_size: Optional[int] = None,
-        mp_context: str = "fork",
-    ) -> None:
+    def __init__(self, workers: int = 2) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.chunk_size = chunk_size
-        self.mp_context = mp_context
 
     def submit(self, pending: List[Job]) -> Iterator[JobResult]:
         """Yield pool results as they complete (unordered).
@@ -59,9 +52,9 @@ class PoolBackend(Backend):
         """
         if not pending:
             return
-        chunk = self.chunk_size or max(1, len(pending) // (4 * self.workers))
+        chunk = max(1, len(pending) // (4 * self.workers))
         try:
-            ctx = multiprocessing.get_context(self.mp_context)
+            ctx = multiprocessing.get_context("fork")
         except ValueError:
             ctx = multiprocessing.get_context("spawn")
         telemetry = current()

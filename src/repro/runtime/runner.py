@@ -34,7 +34,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..obs import metrics
 from ..obs.spans import Telemetry, activate, current
-from .backends import Backend, PoolBackend, SerialBackend
+from .backends import Backend, SerialBackend
 from .scenario import ScenarioGrid, ScenarioSpec
 from .store import ResultStore
 
@@ -92,22 +92,15 @@ class CampaignRunner:
 
     Args:
         store: optional result store; cached scenarios are not re-executed
-            and fresh rows are persisted as they complete.
-        workers: pool size when no explicit ``backend`` is given; ``1``
-            (the default) runs in-process via :class:`SerialBackend`,
-            ``N > 1`` builds a :class:`PoolBackend`.
-        chunk_size: scenarios per pool task (default-backend path only).
-        mp_context: multiprocessing start method (default-backend path
-            only); ``fork`` (default) keeps worker startup cheap on
-            Linux, ``spawn`` works everywhere.
-        backend: explicit execution backend (e.g. a :class:`SocketBackend
-            <repro.runtime.backends.SocketBackend>` connected to remote
-            workers).  The runner never closes a caller-supplied backend,
-            so one backend can serve many campaigns; backends the runner
-            builds itself from ``workers`` are torn down per run.
-        lock: take the store's exclusive writer lockfile around execution
-            (on by default; disable only for stores with external
-            single-writer guarantees).
+            and fresh rows are persisted as they complete, under the
+            store's exclusive writer lockfile.
+        backend: the execution backend for pending scenarios (e.g. a
+            :class:`SocketBackend <repro.runtime.backends.SocketBackend>`
+            connected to remote workers); :class:`SerialBackend` when
+            ``None``.  The runner never builds or closes a backend, so
+            one backend can serve many campaigns;
+            :func:`~repro.runtime.backends.make_backend` builds one by
+            name.
         telemetry: enable the observability sidecar for this runner's
             campaigns -- a JSONL sink path (str/``Path``; the sink file a
             ``repro stats`` invocation reads), or a ready
@@ -127,22 +120,12 @@ class CampaignRunner:
     def __init__(
         self,
         store: Optional[ResultStore] = None,
-        workers: int = 1,
-        chunk_size: Optional[int] = None,
-        mp_context: str = "fork",
         backend: Optional[Backend] = None,
-        lock: bool = True,
         telemetry: Optional[Union[str, Path, Telemetry]] = None,
         live: bool = False,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.store = store
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self.mp_context = mp_context
-        self.backend = backend
-        self.lock = lock
+        self.backend = SerialBackend() if backend is None else backend
         self.telemetry = telemetry
         self.live = live
 
@@ -183,10 +166,10 @@ class CampaignRunner:
         stats.cached = len(results)
         stats.deduplicated = len(keyed) - len(results) - len(pending)
 
-        backend, owned = self._resolve_backend()
+        backend = self.backend
         campaign_span = telemetry.span("campaign", total=len(specs),
                                        backend=backend.name)
-        locked = self.lock and self.store is not None and bool(pending)
+        locked = self.store is not None and bool(pending)
         with campaign_span:
             if locked:
                 with telemetry.span("campaign.resync"):
@@ -234,8 +217,6 @@ class CampaignRunner:
             finally:
                 if locked:
                     self.store.release_lock()
-                if owned:
-                    backend.close()
             campaign_span.set(executed=stats.executed, cached=stats.cached,
                               failed=stats.failed)
         telemetry.event("campaign.stats", total=stats.total,
@@ -275,21 +256,6 @@ class CampaignRunner:
         _, pending = self._split(keyed)
         return [spec for _, spec in pending]
 
-    def _resolve_backend(self) -> Tuple[Backend, bool]:
-        """The backend to submit to, plus whether this run owns it."""
-        if self.backend is not None:
-            return self.backend, False
-        if self.workers == 1:
-            return SerialBackend(), True
-        return (
-            PoolBackend(
-                workers=self.workers,
-                chunk_size=self.chunk_size,
-                mp_context=self.mp_context,
-            ),
-            True,
-        )
-
     def _split(
         self, keyed: List[Tuple[str, ScenarioSpec]]
     ) -> Tuple[Dict[str, Dict[str, Any]], List[Tuple[str, ScenarioSpec]]]:
@@ -315,19 +281,3 @@ class CampaignRunner:
             return scenarios.expand()
         return [spec.validate() for spec in scenarios]
 
-
-def run_campaign(
-    scenarios: ScenarioSource,
-    *,
-    store: Optional[Union[str, ResultStore]] = None,
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
-    backend: Optional[Backend] = None,
-) -> CampaignResult:
-    """One-call convenience wrapper around :class:`CampaignRunner`."""
-    if isinstance(store, (str,)) or hasattr(store, "__fspath__"):
-        store = ResultStore(store)
-    runner = CampaignRunner(
-        store=store, workers=workers, chunk_size=chunk_size, backend=backend
-    )
-    return runner.run(scenarios)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -373,6 +374,23 @@ class ResultStore:
     def __len__(self) -> int:
         """Number of distinct scenario rows held by the store."""
         return len(self._rows)
+
+
+@contextmanager
+def open_store(
+    store: Union[None, str, "os.PathLike[str]", ResultStore],
+) -> Iterator[Optional[ResultStore]]:
+    """Yield ``store`` as a :class:`ResultStore` for one campaign.
+
+    A path is opened here and closed when the block exits; an instance
+    (or ``None``) passes through untouched and stays open, because it is
+    the caller's to close.
+    """
+    if not isinstance(store, (str, os.PathLike)):
+        yield store
+        return
+    with ResultStore(store) as opened:
+        yield opened
 
 
 def _pid_alive(pid: int) -> bool:

@@ -1,7 +1,9 @@
 """The v1 ``repro.api`` front door: builder semantics, compilation,
 execution, schema stamping, and reporting."""
 
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -9,12 +11,15 @@ from repro.api import (
     API_VERSION,
     Campaign,
     Experiment,
+    ReportSpec,
     SCHEMA_VERSION,
     ScenarioGrid,
     ScenarioSpec,
+    build_report,
 )
 from repro.adversary import SplitWorldAdversary
 from repro.predictions import perfect_predictions
+from repro.reporting import TableSpec
 from repro.runtime import ResultStore, execute_spec
 
 
@@ -196,6 +201,21 @@ class TestExecution:
         assert campaign.stats.executed == 0
         assert "schema" not in campaign.rows[0]
 
+    def test_stores_opened_from_paths_are_closed(self, tmp_path):
+        exp = Experiment(n=5, budget=[0, 1])
+        table = TableSpec(name="t", title="t", scenarios=exp.scenarios(),
+                          columns=["n"])
+        spec = ReportSpec(title="t", scale="adhoc", preamble="",
+                          tables=[table])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            exp.run(store=tmp_path / "run.jsonl")
+            exp.report(store=str(tmp_path / "report.jsonl"))
+            build_report(spec, store=tmp_path / "build.jsonl")
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
     def test_campaign_aggregation_shortcuts(self):
         campaign = Experiment(n=5, budget=[0, 1, 2]).run()
         summary = campaign.summarize(by=["n"])
@@ -212,6 +232,12 @@ class TestExecution:
         )
         assert report.mode == "baseline-early-stopping"
         assert report.agreed
+
+    def test_unset_f_means_t_on_every_single_run_path(self):
+        exp = Experiment(n=10, t=3).with_inputs([0] * 10)
+        assert exp.solve_one().summary()["f"] == 3
+        assert exp.with_options(key_seed=0).solve_one().summary()["f"] == 3
+        assert exp.baseline().summary()["f"] == 3
 
     def test_solve_one_with_object_overrides(self):
         report = (

@@ -33,7 +33,6 @@ from repro.runtime import (
     WorkerServer,
     execute_spec,
     make_backend,
-    run_campaign,
 )
 from repro.runtime.backends import base as backends_base
 from repro.runtime.backends import socketbackend as socketbackend_module
@@ -280,12 +279,12 @@ class TestBackendEquivalence:
         healthy.start()
         doomed.start()
         try:
-            serial = run_campaign(GRID_30, backend=SerialBackend())
+            serial = CampaignRunner(backend=SerialBackend()).run(GRID_30)
             backend = SocketBackend(
                 [healthy.address, doomed.address],
                 job_timeout=60.0, ping_grace=2.0,
             )
-            survived = run_campaign(GRID_30, backend=backend)
+            survived = CampaignRunner(backend=backend).run(GRID_30)
             assert survived.rows == serial.rows
             assert survived.stats.executed == 30
             assert backend.last_stats["lost"] == 1
@@ -304,12 +303,12 @@ class TestBackendEquivalence:
         for server in (healthy, *doomed):
             server.start()
         try:
-            serial = run_campaign(GRID_30, backend=SerialBackend())
+            serial = CampaignRunner(backend=SerialBackend()).run(GRID_30)
             backend = SocketBackend(
                 [healthy.address] + [server.address for server in doomed],
                 job_timeout=60.0, ping_grace=2.0,
             )
-            survived = run_campaign(GRID_30, backend=backend)
+            survived = CampaignRunner(backend=backend).run(GRID_30)
             assert survived.rows == serial.rows
             assert backend.last_stats["lost"] == 2
         finally:
@@ -327,9 +326,8 @@ class TestBackendEquivalence:
                 reconnect=False, degrade=False,
             )
             with pytest.raises(BackendError, match="died"):
-                run_campaign(
-                    [ScenarioSpec(n=5, t=1, f=1, seed=s) for s in range(4)],
-                    backend=backend,
+                CampaignRunner(backend=backend).run(
+                    [ScenarioSpec(n=5, t=1, f=1, seed=s) for s in range(4)]
                 )
         finally:
             doomed.stop()
@@ -338,9 +336,9 @@ class TestBackendEquivalence:
         specs = GRID_30.expand()[:6]
         store = ResultStore(tmp_path / "socket.jsonl")
         backend = SocketBackend([server.address for server in worker_pair])
-        first = run_campaign(specs, store=store, backend=backend)
+        first = CampaignRunner(store=store, backend=backend).run(specs)
         assert first.stats.executed == 6
-        rerun = run_campaign(specs, store=store, backend=backend)
+        rerun = CampaignRunner(store=store, backend=backend).run(specs)
         assert rerun.stats.executed == 0
         assert rerun.stats.cached == 6
         assert rerun.rows == first.rows
@@ -348,7 +346,7 @@ class TestBackendEquivalence:
     def test_failed_scenarios_become_error_rows_over_the_wire(self, worker_pair):
         bad = ScenarioSpec(n=5, t=1, f=1, budget=10_000)  # generation raises
         backend = SocketBackend([worker_pair[0].address])
-        result = run_campaign([bad], backend=backend)
+        result = CampaignRunner(backend=backend).run([bad])
         assert result.stats.failed == 1
         assert "error" in result.rows[0]
         assert "exceeds capacity" in result.rows[0]["error"]
@@ -369,8 +367,8 @@ class TestBackendEquivalence:
         try:
             backend = SocketBackend([fast.address, slow.address], window=1,
                                     job_timeout=60.0)
-            result = run_campaign(specs, backend=backend)
-            assert result.rows == run_campaign(specs, backend=SerialBackend()).rows
+            result = CampaignRunner(backend=backend).run(specs)
+            assert result.rows == CampaignRunner().run(specs).rows
             slow_share = sum(
                 _shard(spec.scenario_hash(), 2) == 1 for spec in specs
             )
@@ -384,9 +382,9 @@ class TestBackendEquivalence:
 
 
 class TestExperimentEquivalence:
-    """ISSUE acceptance: campaigns built through the v1 ``Experiment``
-    front door are byte-identical to the pre-redesign ``run_campaign``
-    path on the 30-scenario grid, over every backend."""
+    """Campaigns built through the v1 ``Experiment`` front door are
+    byte-identical to the runtime-level ``CampaignRunner`` path on the
+    30-scenario grid, over every backend."""
 
     def experiment(self):
         from repro.api import Experiment
@@ -412,13 +410,13 @@ class TestExperimentEquivalence:
 
     def test_schema_less_legacy_store_rows_still_load(self, tmp_path):
         spec = GRID_30.expand()[0]
-        legacy_row = {k: v for k, v in run_campaign([spec]).rows[0].items()
-                      if k != "schema"}
+        fresh = CampaignRunner().run([spec]).rows[0]
+        legacy_row = {k: v for k, v in fresh.items() if k != "schema"}
         store = ResultStore(tmp_path / "legacy.jsonl")
         store.put(spec.scenario_hash(), legacy_row)
         store.close()
         reloaded = ResultStore(tmp_path / "legacy.jsonl")
-        served = run_campaign([spec], store=reloaded)
+        served = CampaignRunner(store=reloaded).run([spec])
         assert served.stats.cached == 1
         assert served.rows[0] == legacy_row
 
@@ -439,8 +437,8 @@ class TestSocketBackendSetup:
         backend = SocketBackend(
             [worker_pair[0].address, dead_address], connect_timeout=2.0
         )
-        result = run_campaign(
-            [ScenarioSpec(n=5, t=1, f=1)], backend=backend
+        result = CampaignRunner(backend=backend).run(
+            [ScenarioSpec(n=5, t=1, f=1)]
         )
         assert result.stats.executed == 1
         assert backend.last_stats["unreachable"] == [dead_address]
@@ -449,7 +447,9 @@ class TestSocketBackendSetup:
             connect_timeout=2.0, require_all=True, connect_retries=0,
         )
         with pytest.raises(BackendError, match="unreachable"):
-            run_campaign([ScenarioSpec(n=5, t=1, f=1, seed=1)], backend=strict)
+            CampaignRunner(backend=strict).run(
+                [ScenarioSpec(n=5, t=1, f=1, seed=1)]
+            )
 
     def test_no_workers_reachable_raises(self):
         probe = socket_module.socket()
@@ -460,7 +460,7 @@ class TestSocketBackendSetup:
             [dead_address], connect_timeout=1.0, connect_retries=0
         )
         with pytest.raises(BackendError, match="no socket workers reachable"):
-            run_campaign([ScenarioSpec(n=5, t=1, f=1)], backend=backend)
+            CampaignRunner(backend=backend).run([ScenarioSpec(n=5, t=1, f=1)])
 
     def test_silent_connection_is_dropped(self, monkeypatch):
         # A peer that connects but never speaks (port scan, hung driver)
@@ -541,8 +541,8 @@ class TestSocketBackendSetup:
             # the injected failure: the second campaign must still serve.
             for seed in range(2):
                 backend = SocketBackend([server.address], connect_timeout=5.0)
-                result = run_campaign(
-                    [ScenarioSpec(n=5, t=1, f=1, seed=seed)], backend=backend
+                result = CampaignRunner(backend=backend).run(
+                    [ScenarioSpec(n=5, t=1, f=1, seed=seed)]
                 )
                 assert result.stats.executed == 1
             assert flaky.tripped
@@ -623,18 +623,21 @@ class TestMakeBackend:
             make_backend("carrier-pigeon")
 
     def test_resilience_knobs_reach_the_socket_backend(self):
-        from repro.runtime import ChaosPolicy
-
-        chaos = ChaosPolicy(drop=0.1, seed=7)
         backend = make_backend(
             connect=["127.0.0.1:7501"], require_all=True,
-            connect_retries=5, backoff=0.25, chaos=chaos,
+            connect_retries=5, backoff=0.25,
         )
         assert isinstance(backend, SocketBackend)
         assert backend.require_all is True
         assert backend.connect_retries == 5
         assert backend.backoff == 0.25
-        assert backend.chaos is chaos
+
+    def test_worker_count_below_one_is_refused(self):
+        # Not silently rounded up to a 2-process pool.
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            make_backend(workers=0)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            make_backend("pool", workers=-3)
 
     def test_connect_with_local_backend_is_refused(self):
         # A typo'd --backend must not silently run the campaign locally
@@ -680,11 +683,11 @@ class TestStoreLock:
         holder.acquire_lock()
         # A second campaign against the locked store fails fast...
         with pytest.raises(StoreLockError):
-            run_campaign(specs, store=ResultStore(path))
+            CampaignRunner(store=ResultStore(path)).run(specs)
         holder.release_lock()
         # ...and succeeds once the lock is free, releasing it afterwards
         # (provably: a fresh writer can take it again).
-        result = run_campaign(specs, store=ResultStore(path))
+        result = CampaignRunner(store=ResultStore(path)).run(specs)
         assert result.stats.executed == 2
         reacquire = ResultStore(path)
         reacquire.acquire_lock()
@@ -693,11 +696,11 @@ class TestStoreLock:
     def test_fully_cached_run_needs_no_lock(self, tmp_path):
         path = tmp_path / "store.jsonl"
         specs = [ScenarioSpec(n=5, t=1, f=1)]
-        run_campaign(specs, store=ResultStore(path))
+        CampaignRunner(store=ResultStore(path)).run(specs)
         holder = ResultStore(path)
         holder.acquire_lock()
         # Nothing pending -> read-only -> no lock contention.
-        cached = run_campaign(specs, store=ResultStore(path))
+        cached = CampaignRunner(store=ResultStore(path)).run(specs)
         assert cached.stats.cached == 1
         holder.release_lock()
 
@@ -709,7 +712,8 @@ class TestStoreLock:
         path = tmp_path / "store.jsonl"
         specs = [ScenarioSpec(n=5, t=1, f=1, seed=s) for s in range(2)]
         stale = ResultStore(path)  # snapshot: empty file
-        run_campaign(specs, store=ResultStore(path))  # the other campaign
+        # The other campaign:
+        CampaignRunner(store=ResultStore(path)).run(specs)
         result = CampaignRunner(store=stale).run(specs)
         assert result.stats.executed == 0
         assert result.stats.cached == 2
@@ -890,6 +894,6 @@ class TestMonkeypatchedExecution:
 
         monkeypatch.setattr(backends_base, "execute_spec", fake)
         spec = ScenarioSpec(n=5, t=1, f=1)
-        result = run_campaign([spec], backend=SerialBackend())
+        result = CampaignRunner(backend=SerialBackend()).run([spec])
         assert result.rows[0]["ok"] is True
         assert calls == [spec]

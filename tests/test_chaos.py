@@ -26,13 +26,13 @@ import pytest
 
 from repro.runtime import (
     BackendError,
+    CampaignRunner,
     ChaosPolicy,
     ScenarioGrid,
     ScenarioSpec,
     SerialBackend,
     SocketBackend,
     WorkerServer,
-    run_campaign,
 )
 from repro.runtime.backends.base import POISON_ENV, quarantine_row
 from repro.runtime.backends.chaos import ACTIONS, ChaosInjected, ChaosSocket
@@ -237,7 +237,7 @@ class TestReconnect:
         late = WorkerServer(port=late_port)
         starter = threading.Timer(0.3, late.start)
         try:
-            serial = run_campaign(GRID_12, backend=SerialBackend()).rows
+            serial = CampaignRunner(backend=SerialBackend()).run(GRID_12).rows
             backend = SocketBackend(
                 [healthy.address, f"127.0.0.1:{late_port}"],
                 job_timeout=60.0, connect_retries=0,
@@ -246,7 +246,7 @@ class TestReconnect:
             starter.start()
             # Hold the campaign open long enough for B to join: pad the
             # grid with slow-ish scenarios via repetition of the grid.
-            result = run_campaign(GRID_12, backend=backend)
+            result = CampaignRunner(backend=backend).run(GRID_12)
             assert result.rows == serial
             assert backend.last_stats["unreachable"] == [
                 f"127.0.0.1:{late_port}"
@@ -270,13 +270,13 @@ class TestReconnect:
         late = WorkerServer(port=late_port)
         starter = threading.Timer(0.2, late.start)
         try:
-            serial = run_campaign(GRID_12, backend=SerialBackend()).rows
+            serial = CampaignRunner(backend=SerialBackend()).run(GRID_12).rows
             backend = SocketBackend(
                 [busy.address, f"127.0.0.1:{late_port}"],
                 job_timeout=60.0, connect_retries=0, backoff=0.05,
             )
             starter.start()
-            result = run_campaign(GRID_12, backend=backend)
+            result = CampaignRunner(backend=backend).run(GRID_12)
             assert result.rows == serial
             assert backend.last_stats["reconnects"] == 1
             per_worker = backend.last_stats["per_worker"]
@@ -295,8 +295,8 @@ class TestReconnect:
                 [healthy.address, f"127.0.0.1:{late_port}"],
                 connect_retries=0, reconnect=False,
             )
-            result = run_campaign(
-                [ScenarioSpec(n=5, t=1, f=1)], backend=backend
+            result = CampaignRunner(backend=backend).run(
+                [ScenarioSpec(n=5, t=1, f=1)]
             )
             assert result.stats.executed == 1
             assert backend.last_stats["reconnects"] == 0
@@ -345,13 +345,13 @@ class TestDegradation:
         for server in servers:
             server.start()
         try:
-            serial = run_campaign(GRID_12, backend=SerialBackend()).rows
+            serial = CampaignRunner(backend=SerialBackend()).run(GRID_12).rows
             backend = SocketBackend(
                 [server.address for server in servers],
                 job_timeout=60.0, ping_grace=2.0,
                 backoff=0.05, degrade_after=0.3,
             )
-            result = run_campaign(GRID_12, backend=backend)
+            result = CampaignRunner(backend=backend).run(GRID_12)
             assert result.rows == serial
             assert backend.last_stats["degraded"] is True
             assert backend.last_stats["lost"] == 2
@@ -369,9 +369,8 @@ class TestDegradation:
                 reconnect=False, degrade=False,
             )
             with pytest.raises(BackendError, match="died"):
-                run_campaign(
-                    [ScenarioSpec(n=5, t=1, f=1, seed=s) for s in range(3)],
-                    backend=backend,
+                CampaignRunner(backend=backend).run(
+                    [ScenarioSpec(n=5, t=1, f=1, seed=s) for s in range(3)]
                 )
         finally:
             doomed.stop()
@@ -445,7 +444,7 @@ class TestPoisonQuarantine:
         poison = specs[4].scenario_hash()
         # Baseline first -- before the env var can reach this process's
         # own execute path.
-        serial = run_campaign(specs, backend=SerialBackend()).rows
+        serial = CampaignRunner(backend=SerialBackend()).run(specs).rows
         monkeypatch.setenv(POISON_ENV, poison)
 
         workers = [self.spawn_worker() for _ in range(2)]
@@ -455,7 +454,7 @@ class TestPoisonQuarantine:
                 job_timeout=5.0, ping_grace=2.0,
                 backoff=0.05, degrade_after=0.5,
             )
-            result = run_campaign(specs, backend=backend)
+            result = CampaignRunner(backend=backend).run(specs)
             assert result.stats.failed == 1
             assert result.stats.quarantined == 1
             rows_by_key = {spec.scenario_hash(): row
@@ -481,13 +480,13 @@ class TestPoisonQuarantine:
             server.start()
         spec = ScenarioSpec(n=5, t=1, f=1)
         try:
-            serial = run_campaign([spec], backend=SerialBackend()).rows
+            serial = CampaignRunner(backend=SerialBackend()).run([spec]).rows
             backend = SocketBackend(
                 [server.address for server in servers],
                 job_timeout=5.0, ping_grace=1.0,
                 backoff=0.05, degrade_after=0.3, quarantine_after=2,
             )
-            result = run_campaign([spec], backend=backend)
+            result = CampaignRunner(backend=backend).run([spec])
             assert result.rows == serial
             assert result.stats.failed == 0
             assert backend.last_stats["quarantined"] == 0
@@ -531,7 +530,7 @@ class TestWindowedRequeue:
         specs = GRID_12.expand()
         poison = specs[4].scenario_hash()
         # Baseline before the env var can reach this process.
-        serial = run_campaign(specs, backend=SerialBackend()).rows
+        serial = CampaignRunner(backend=SerialBackend()).run(specs).rows
         monkeypatch.setenv(POISON_ENV, poison)
         workers = [self.spawn_worker() for _ in range(2)]
         try:
@@ -540,7 +539,7 @@ class TestWindowedRequeue:
                 job_timeout=5.0, ping_grace=2.0,
                 backoff=0.05, degrade_after=0.5, window=64,
             )
-            result = run_campaign(specs, backend=backend)
+            result = CampaignRunner(backend=backend).run(specs)
         finally:
             for proc, _ in workers:
                 proc.kill()

@@ -19,13 +19,13 @@ import pytest
 
 from repro.api import Experiment
 from repro.runtime import (
+    CampaignRunner,
     ChaosPolicy,
     ScenarioGrid,
     SerialBackend,
     PoolBackend,
     SocketBackend,
     WorkerServer,
-    run_campaign,
 )
 
 #: The ISSUE equivalence grid: 30 scenarios across sizes, budgets,
@@ -70,7 +70,7 @@ def worker_chaos(mode):
 @pytest.fixture(scope="module")
 def baseline():
     """Serial reference rows for the grid (computed once per module)."""
-    return run_campaign(GRID_30, backend=SerialBackend()).rows
+    return CampaignRunner(backend=SerialBackend()).run(GRID_30).rows
 
 
 def socket_backend(addresses, window, mode):
@@ -86,7 +86,7 @@ def socket_backend(addresses, window, mode):
 
 class TestEquivalenceMatrix:
     def test_pool_matches_serial(self, baseline):
-        result = run_campaign(GRID_30, backend=PoolBackend(workers=3))
+        result = CampaignRunner(backend=PoolBackend(workers=3)).run(GRID_30)
         assert result.rows == baseline
         assert sorted_rows_blob(result.rows) == sorted_rows_blob(baseline)
 
@@ -101,7 +101,7 @@ class TestEquivalenceMatrix:
             backend = socket_backend(
                 [server.address for server in servers], window, mode
             )
-            result = run_campaign(GRID_30, backend=backend)
+            result = CampaignRunner(backend=backend).run(GRID_30)
             assert result.rows == baseline
             assert sorted_rows_blob(result.rows) == sorted_rows_blob(baseline)
             assert result.stats.executed == 30
@@ -132,7 +132,7 @@ class TestEquivalenceMatrix:
             backend = socket_backend(
                 [healthy.address, doomed.address], window, "off"
             )
-            result = run_campaign(GRID_30, backend=backend)
+            result = CampaignRunner(backend=backend).run(GRID_30)
             assert result.rows == baseline
             assert result.stats.executed == 30
             assert backend.last_stats["lost"] == 1
@@ -142,8 +142,8 @@ class TestEquivalenceMatrix:
             doomed.stop()
 
     def test_experiment_front_door_matches_serial(self, baseline):
-        # The v1 Experiment API plumbs the socket knobs through
-        # make_backend; its rows must match the runtime-level baseline.
+        # The front door runs on a backend built by name or handed in;
+        # its rows must match the runtime-level baseline either way.
         exp = (
             Experiment(n=[5, 6, 7], budget=[0, 1, 2, 3, 4])
             .with_adversary(["silent", "noise"])
@@ -153,11 +153,9 @@ class TestEquivalenceMatrix:
         for server in servers:
             server.start()
         try:
-            campaign = exp.run(
-                backend="socket",
-                connect=[server.address for server in servers],
-                job_timeout=60.0,
-            )
+            with SocketBackend([server.address for server in servers],
+                               job_timeout=60.0) as backend:
+                campaign = exp.run(backend=backend)
             assert campaign.rows == baseline
             assert "socket" in (campaign.backend_summary or "")
         finally:
@@ -173,7 +171,6 @@ class TestObservabilityEquivalence:
 
     def _run_live(self, backend):
         from repro.obs import metrics
-        from repro.runtime import CampaignRunner
 
         with metrics.activate(metrics.MetricsRegistry()):
             return CampaignRunner(backend=backend, live=True).run(GRID_30)

@@ -9,6 +9,7 @@ The two load-bearing properties:
   clock, so "where did the wall-clock go" has an answer.
 """
 
+import io
 import json
 import logging
 import os
@@ -26,6 +27,7 @@ from repro.obs import (
     Telemetry,
     TELEMETRY_SCHEMA_VERSION,
     activate,
+    configure_logging,
     current,
     kv,
     load_telemetry,
@@ -259,10 +261,14 @@ class TestInstrumentedCampaigns:
         assert ("event", "job") in names
         assert ("event", "campaign.stats") in names
 
+    @pytest.mark.timing
     def test_socket_campaign_accounts_for_wall_clock(self, worker_process):
         """Acceptance: single worker, window=1 -- recorded phases cover
         >= 95% of the campaign wall clock (the driver thread is either
-        connecting, serializing, or waiting on an in-flight job)."""
+        connecting, serializing, or waiting on an in-flight job).  The
+        ratio divides two wall-clock sums and dips below the floor when
+        a loaded suite delays the worker process, hence the ``timing``
+        marker."""
         telemetry = Telemetry()
         backend = SocketBackend([worker_process], window=1)
         result = CampaignRunner(backend=backend, telemetry=telemetry).run(
@@ -396,6 +402,25 @@ class TestWorkerLogging:
             finally:
                 server.stop()
         assert "die-after-jobs" in caplog.text
+
+    def test_handler_writes_to_the_current_stderr(self, monkeypatch):
+        # A stream closed after the handler was installed (pytest closes
+        # each test's capture) must not swallow later worker-thread
+        # lines as "--- Logging error ---".
+        logger = logging.getLogger("repro")
+        level = logger.level
+        monkeypatch.setattr(logger, "handlers", [])
+        installed, replacement = io.StringIO(), io.StringIO()
+        monkeypatch.setattr(sys, "stderr", installed)
+        try:
+            configure_logging("info")
+            installed.close()
+            monkeypatch.setattr(sys, "stderr", replacement)
+            logging.getLogger("repro.worker").info("after the swap")
+        finally:
+            logger.setLevel(level)
+        assert "after the swap" in replacement.getvalue()
+        assert "Logging error" not in replacement.getvalue()
 
     def test_kv_formats_floats_and_spaces(self):
         line = kv("ev", dur_s=0.1234567, msg="two words", n=3)

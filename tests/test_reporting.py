@@ -17,7 +17,7 @@ from repro.reporting import (
     render_markdown,
     write_report,
 )
-from repro.runtime import CampaignRunner, ResultStore
+from repro.runtime import CampaignRunner, ResultStore, WorkerServer
 
 GOLDEN = Path(__file__).parent / "golden" / "EXPERIMENTS_small.md"
 
@@ -200,6 +200,31 @@ class TestReportCLI:
         second = capsys.readouterr().out
         assert "executed 0" in second
         assert (tmp_path / "out" / "EXPERIMENTS.md").exists()
+
+    def test_report_over_socket_workers_matches_serial(self, tmp_path,
+                                                      capsys):
+        servers = [WorkerServer(), WorkerServer()]
+        for server in servers:
+            server.start()
+        try:
+            assert main([
+                "report", "--scale", "small", "--backend", "socket",
+                "--connect", ",".join(server.address for server in servers),
+                "--store", str(tmp_path / "socket.jsonl"),
+                "--out", str(tmp_path / "socket"),
+            ]) == 0
+        finally:
+            for server in servers:
+                server.stop()
+        assert "executed 6" in capsys.readouterr().out
+        assert main([
+            "report", "--scale", "small",
+            "--store", str(tmp_path / "serial.jsonl"),
+            "--out", str(tmp_path / "serial"),
+        ]) == 0
+        socket_doc = tmp_path / "socket" / "EXPERIMENTS.md"
+        serial_doc = tmp_path / "serial" / "EXPERIMENTS.md"
+        assert socket_doc.read_bytes() == serial_doc.read_bytes()
 
     def test_report_html_out(self, tmp_path, capsys):
         assert main([

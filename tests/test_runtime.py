@@ -8,6 +8,7 @@ import pytest
 from repro.experiments.montecarlo import sample_trials
 from repro.runtime import (
     CampaignRunner,
+    PoolBackend,
     ResultStore,
     ScenarioGrid,
     ScenarioSpec,
@@ -15,8 +16,8 @@ from repro.runtime import (
     group_by,
     mean,
     percentile,
-    run_campaign,
     execute_spec,
+    make_backend,
     summarize,
 )
 from repro.experiments.cli import main
@@ -223,17 +224,20 @@ SMALL_GRID = ScenarioGrid(
 
 class TestCampaignRunner:
     def test_serial_and_parallel_rows_identical(self):
-        serial = run_campaign(SMALL_GRID, workers=1)
-        parallel = run_campaign(SMALL_GRID, workers=3)
+        serial = CampaignRunner().run(SMALL_GRID)
+        parallel = CampaignRunner(backend=PoolBackend(workers=3)).run(
+            SMALL_GRID
+        )
         assert serial.rows == parallel.rows
         assert parallel.stats.executed == SMALL_GRID.size()
         assert len(parallel) == SMALL_GRID.size()
 
     def test_rerun_is_fully_cached(self, tmp_path):
         store = ResultStore(tmp_path / "campaign.jsonl")
-        first = run_campaign(SMALL_GRID, store=store, workers=2)
+        runner = CampaignRunner(store=store, backend=PoolBackend(workers=2))
+        first = runner.run(SMALL_GRID)
         assert first.stats.executed == SMALL_GRID.size()
-        rerun = run_campaign(SMALL_GRID, store=store, workers=2)
+        rerun = runner.run(SMALL_GRID)
         assert rerun.stats.executed == 0
         assert rerun.stats.cached == SMALL_GRID.size()
         assert rerun.rows == first.rows
@@ -241,28 +245,28 @@ class TestCampaignRunner:
     def test_resume_from_partial_store(self, tmp_path):
         specs = SMALL_GRID.expand()
         store = ResultStore(tmp_path / "campaign.jsonl")
-        run_campaign(specs[:5], store=store)
-        resumed = run_campaign(specs, store=ResultStore(store.path))
+        CampaignRunner(store=store).run(specs[:5])
+        resumed = CampaignRunner(store=ResultStore(store.path)).run(specs)
         assert resumed.stats.cached == 5
         assert resumed.stats.executed == len(specs) - 5
-        assert resumed.rows == run_campaign(specs).rows
+        assert resumed.rows == CampaignRunner().run(specs).rows
 
     def test_resume_from_corrupted_store(self, tmp_path):
         specs = SMALL_GRID.expand()
         store = ResultStore(tmp_path / "campaign.jsonl")
-        complete = run_campaign(specs, store=store)
+        complete = CampaignRunner(store=store).run(specs)
         # Corrupt the tail: a half-written line from a simulated crash.
         with open(store.path, "a", encoding="utf-8") as handle:
             handle.write('{"key": "zzz", "row"')
         recovered_store = ResultStore(store.path)
         assert recovered_store.corrupt_lines == 1
-        rerun = run_campaign(specs, store=recovered_store)
+        rerun = CampaignRunner(store=recovered_store).run(specs)
         assert rerun.stats.executed == 0
         assert rerun.rows == complete.rows
 
     def test_duplicate_specs_execute_once(self):
         spec = ScenarioSpec(n=5, t=1, f=1, budget=2)
-        result = run_campaign([spec, spec, spec])
+        result = CampaignRunner().run([spec, spec, spec])
         assert result.stats.deduplicated == 2
         assert result.stats.executed == 1
         assert result.rows[0] == result.rows[1] == result.rows[2]
@@ -272,7 +276,7 @@ class TestCampaignRunner:
         bad = ScenarioSpec(n=5, t=1, f=1, budget=10_000)
         good = ScenarioSpec(n=5, t=1, f=1, budget=2)
         store = ResultStore(tmp_path / "campaign.jsonl")
-        result = run_campaign([bad, good], store=store)
+        result = CampaignRunner(store=store).run([bad, good])
         assert result.stats.failed == 1
         assert result.stats.executed == 1
         assert "error" in result.rows[0]
@@ -281,10 +285,10 @@ class TestCampaignRunner:
 
     def test_raise_on_failure_surfaces_first_error(self):
         bad = ScenarioSpec(n=5, t=1, f=1, budget=10_000)
-        result = run_campaign([bad])
+        result = CampaignRunner().run([bad])
         with pytest.raises(RuntimeError, match="exceeds capacity"):
             result.raise_on_failure()
-        clean = run_campaign([ScenarioSpec(n=5, t=1, f=1)])
+        clean = CampaignRunner().run([ScenarioSpec(n=5, t=1, f=1)])
         assert clean.raise_on_failure() is clean
 
     def test_run_trials_raises_instead_of_skewing_stats(self, monkeypatch):
@@ -302,13 +306,13 @@ class TestCampaignRunner:
 
     def test_montecarlo_trials_serial_vs_parallel(self):
         specs = sample_trials(7, 2, 12, seed=11)
-        serial = run_campaign(specs, workers=1)
-        parallel = run_campaign(specs, workers=2)
+        serial = CampaignRunner().run(specs)
+        parallel = CampaignRunner(backend=PoolBackend(workers=2)).run(specs)
         assert serial.rows == parallel.rows
 
     def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
-            CampaignRunner(workers=0)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            make_backend(workers=0)
 
 
 class TestAggregate:

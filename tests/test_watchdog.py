@@ -25,11 +25,11 @@ from repro.obs import spans as spans_module
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Telemetry
 from repro.runtime import (
+    CampaignRunner,
     ResultStore,
     ScenarioGrid,
     SocketBackend,
     WorkerServer,
-    run_campaign,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -198,11 +198,10 @@ class TestSocketCampaignLockOrders:
                 backend = SocketBackend(
                     [server.address for server in servers]
                 )
-                result = run_campaign(
+                store = ResultStore(tmp_path / "rows.jsonl")
+                result = CampaignRunner(store=store, backend=backend).run(
                     ScenarioGrid(n=[5, 6], budget=[0, 1],
-                                 adversary=["silent"]),
-                    store=ResultStore(tmp_path / "rows.jsonl"),
-                    backend=backend,
+                                 adversary=["silent"])
                 )
         finally:
             for server in servers:
@@ -243,11 +242,10 @@ class TestSocketCampaignLockOrders:
         try:
             with watchdog_module.activate(watchdog):
                 backend = SocketBackend([server.address])
-                result = run_campaign(
+                store = ResultStore(tmp_path / "rows.jsonl")
+                result = CampaignRunner(store=store, backend=backend).run(
                     ScenarioGrid(n=[5], budget=[0, 1],
-                                 adversary=["silent"]),
-                    store=ResultStore(tmp_path / "rows.jsonl"),
-                    backend=backend,
+                                 adversary=["silent"])
                 )
                 server.stop()
         finally:
