@@ -1,6 +1,6 @@
 """Ablations: what each arm of the guess-and-double wrapper buys.
 
-DESIGN.md calls out two load-bearing design choices in Algorithm 1:
+Algorithm 1 has two load-bearing design choices:
 
 * the **early-stopping arm** guarantees ``O(f)`` rounds when predictions
   are useless;

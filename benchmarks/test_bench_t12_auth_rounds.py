@@ -9,8 +9,8 @@ Workload: ``n = 21``, ``t = f = 6``, stalling adversary, faulty ids first.
 Expected shape: same staircase as Theorem 11 (flat under accurate
 predictions, early-stopping path when fully hidden), with the
 authenticated suite paying fewer rounds per conditional arm.  See
-DESIGN.md for the graded-consensus substitution (our auth pipeline runs at
-``t < n/3``).
+"Substitutions" in docs/ARCHITECTURE.md for the graded-consensus
+substitution (our auth pipeline runs at ``t < n/3``).
 """
 
 import pytest

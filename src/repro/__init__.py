@@ -14,7 +14,8 @@ Public API highlights:
 docs/API.md maps the entry points removed in earlier API versions to
 their :class:`Experiment` replacements.
 
-See README.md for a quickstart and DESIGN.md for the system inventory.
+See README.md for a quickstart and docs/ARCHITECTURE.md for the layer map
+and the two sub-protocol substitutions.
 """
 
 from .api import API_VERSION, Campaign, Experiment

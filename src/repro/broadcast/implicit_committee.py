@@ -19,16 +19,92 @@ Guarantees when at most ``k`` certified processes are faulty
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Set
+from typing import Any, Generator, List, Optional, Sequence, Set, Tuple
 
 from ..crypto.certificates import is_committee_certificate
 from ..crypto.chains import extend_chain, inspect_chain, start_chain
 from ..crypto.keys import KeyStore
 from ..net.context import ProcessContext
-from ..net.message import Envelope, by_tag
-from ..util import is_hashable, value_sort_key
+from ..net.message import Envelope, Pairs, reduce_by_tag
+from ..util import is_hashable
 
 DEFAULT = ("bb-default",)  # the paper's "bot" output
+
+
+def _valid_chains(
+    pairs: Pairs, sender: int, length: int, t: int, keystore: KeyStore
+) -> List[tuple]:
+    """``(value, chain)`` for every valid chain of exactly ``length`` links
+    started by ``sender``, in pair order.
+
+    A pure reducer for :func:`~repro.net.message.reduce_by_tag`: every
+    recipient that sees only the round's honest chains shares one result,
+    so each chain is inspected once per round, not once per recipient,
+    and the list is read-only.  A chain for an unhashable value (no
+    honest sender starts one) is ignored.
+    """
+    chains = []
+    for _, body in pairs:
+        info = inspect_chain(body, t, keystore)
+        if (info is not None and info.starter == sender
+                and is_hashable(info.value) and info.is_valid_length(length)):
+            chains.append((info.value, body))
+    return chains
+
+
+def bb_instances(
+    ctx: ProcessContext,
+    instances: Sequence[Tuple[tuple, int]],
+    value: Any,
+    k: int,
+    certificate: Optional[Any],
+    keystore: KeyStore,
+) -> Generator[List[Envelope], List[Envelope], List[Any]]:
+    """Run Algorithm 6 as process ``ctx.pid`` for every ``(tag, sender)``
+    instance in lock step; return each instance's value or ``DEFAULT``.
+
+    ``certificate`` is this process's own committee certificate, or
+    ``None`` if it never assembled one; ``value`` is what it broadcasts in
+    the instances it is the sender ``p_s`` of.  Each round's sends are the
+    instances' sends in instance order (Algorithm 7 runs one instance per
+    possible sender).  Once an instance has accepted two values it is
+    committed to returning ``DEFAULT``, so its chains need no reading.
+    """
+    certified = certificate is not None and is_committee_certificate(
+        certificate, ctx.pid, ctx.t, keystore
+    )
+    accepted: List[Set[Any]] = [set() for _ in instances]
+
+    # Round 1: a certified sender starts its chain.
+    outgoing: List[Envelope] = []
+    if certified:
+        for (tag, sender), seen in zip(instances, accepted):
+            if sender == ctx.pid:
+                seen.add(value)
+                chain = start_chain(value, certificate, ctx.signer, ctx.pid)
+                outgoing.extend(ctx.broadcast(tag, chain))
+
+    # Rounds 1 .. k+1 deliver chains of that many links: record new values
+    # and, until the last round, extend and relay their chains.
+    for length in range(1, k + 2):
+        inbox = yield outgoing
+        outgoing = []
+        relay = certified and length <= k
+        for (tag, sender), seen in zip(instances, accepted):
+            if len(seen) >= 2:
+                continue
+            received = reduce_by_tag(
+                inbox, tag, _valid_chains, sender, length, ctx.t, keystore
+            )
+            for chain_value, chain in received:
+                if chain_value in seen or len(seen) >= 2:
+                    continue
+                seen.add(chain_value)
+                if relay:
+                    extended = extend_chain(chain, certificate, ctx.signer, ctx.pid)
+                    outgoing.extend(ctx.broadcast(tag, extended))
+
+    return [next(iter(seen)) if len(seen) == 1 else DEFAULT for seen in accepted]
 
 
 def bb_with_implicit_committee(
@@ -40,69 +116,9 @@ def bb_with_implicit_committee(
     certificate: Optional[Any],
     keystore: KeyStore,
 ) -> Generator[List[Envelope], List[Envelope], Any]:
-    """Run Algorithm 6 as process ``ctx.pid``; returns a value or ``DEFAULT``.
-
-    ``certificate`` is this process's own committee certificate, or ``None``
-    if it never assembled one.  ``sender`` is the designated broadcaster
-    ``p_s``; ``tag`` already identifies the instance (Algorithm 7 uses one
-    instance per possible sender).
-    """
-    certified = certificate is not None and is_committee_certificate(
-        certificate, ctx.pid, ctx.t, keystore
+    """Run one Algorithm 6 instance (see :func:`bb_instances`); returns a
+    value or ``DEFAULT``."""
+    outputs = yield from bb_instances(
+        ctx, [(tag, sender)], value, k, certificate, keystore
     )
-    accepted: Set[Any] = set()
-
-    def fresh_valid_chains(inbox: List[Envelope], length: int) -> List[tuple]:
-        """Valid chains of exactly ``length`` started by ``sender``.
-
-        ``inspect_chain`` memoizes per chain object within ``keystore``, so
-        across the ``n`` recipients of a broadcast the expensive link-by-link
-        verification runs once; this loop then only pays a cache lookup.
-        Once two values are accepted the protocol is committed to returning
-        ``DEFAULT``, so further chains need no inspection at all.  A chain
-        for an unhashable value (no honest sender starts one) is ignored.
-        """
-        if len(accepted) >= 2:
-            return []
-        chains = []
-        for _, body in by_tag(inbox, tag):
-            info = inspect_chain(body, ctx.t, keystore)
-            if info is None or info.starter != sender:
-                continue
-            if not is_hashable(info.value):
-                continue
-            if not info.is_valid_length(length):
-                continue
-            chains.append((info.value, body))
-        return chains
-
-    # Round 1: a certified sender starts its chain.
-    outgoing: List[Envelope] = []
-    if ctx.pid == sender and certified:
-        accepted.add(value)
-        chain = start_chain(value, certificate, ctx.signer, ctx.pid)
-        outgoing = ctx.broadcast(tag, chain)
-    inbox = yield outgoing
-    received = fresh_valid_chains(inbox, 1)
-
-    # Rounds 2 .. k+1: record new values, extend and relay their chains.
-    for round_index in range(2, k + 2):
-        outgoing = []
-        for chain_value, chain in received:
-            if chain_value in accepted or len(accepted) >= 2:
-                continue
-            accepted.add(chain_value)
-            if certified:
-                extended = extend_chain(chain, certificate, ctx.signer, ctx.pid)
-                outgoing.extend(ctx.broadcast(tag, extended))
-        inbox = yield outgoing
-        received = fresh_valid_chains(inbox, round_index)
-
-    # Final receipt (round k+1's chains) is recorded without relaying.
-    for chain_value, _ in received:
-        if chain_value not in accepted and len(accepted) < 2:
-            accepted.add(chain_value)
-
-    if len(accepted) == 1:
-        return next(iter(accepted))
-    return DEFAULT
+    return outputs[0]

@@ -157,7 +157,7 @@ def _solve(
     Args:
         n: number of processes.
         t: protocol-known fault bound (``t < n/3`` for both modes in this
-            implementation; see DESIGN.md).
+            implementation; see "Substitutions" in docs/ARCHITECTURE.md).
         inputs: one proposal per process (faulty entries are ignored).
         faulty_ids: processes controlled by ``adversary``.
         adversary: faulty-process strategy; defaults to silent crashes.
@@ -168,9 +168,9 @@ def _solve(
         key_seed: deterministic key material for the simulated PKI.
         max_rounds: safety cap; defaults to the wrapper's worst-case bound.
         cache: enable the authenticated-mode verification caches
-            (:mod:`repro.perf`); ``False`` reproduces the uncached seed
-            path instruction for instruction, which cache-safety tests
-            compare against (results must be identical either way).
+            (:mod:`repro.perf`).  ``False`` turns the key store's memo
+            tables off; round-shared reads stay shared.  Cache-safety
+            tests compare the two (results must be identical either way).
 
     Returns:
         A :class:`SolveReport`.

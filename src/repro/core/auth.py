@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Optional, Sequence
 
-from ..broadcast.implicit_committee import DEFAULT, bb_with_implicit_committee
+from ..broadcast.implicit_committee import DEFAULT, bb_instances
 from ..classify.ordering import priority_order
 from ..crypto.certificates import (
     committee_message,
@@ -29,7 +29,6 @@ from ..crypto.certificates import (
 from ..crypto.keys import KeyStore, Signature
 from ..net.context import ProcessContext
 from ..net.message import Envelope, by_tag
-from ..net.protocol import run_parallel
 from ..util import is_hashable, most_frequent_value
 
 
@@ -68,13 +67,10 @@ def ba_with_classification_auth(
         certificate = make_certificate(my_votes[j] for j in chosen)
 
     # Rounds 2 .. k+2: n parallel Byzantine broadcasts, sender s in each.
-    instances = [
-        bb_with_implicit_committee(
-            ctx, tag + ("bb", s), s, value, k, certificate, keystore
-        )
-        for s in range(ctx.n)
-    ]
-    broadcast_outputs = yield from run_parallel(instances)
+    broadcast_outputs = yield from bb_instances(
+        ctx, [(tag + ("bb", s), s) for s in range(ctx.n)],
+        value, k, certificate, keystore,
+    )
 
     # Round k+3: certified members announce the plurality of the outputs.
     announce_tag = tag + ("plurality",)

@@ -97,7 +97,8 @@ def ba_with_predictions(
     ``t < n/3`` (Theorem 11); ``"authenticated"`` additionally needs a
     :class:`~repro.crypto.keys.KeyStore` and uses the committee-based
     conditional arm that profits from predictions for every ``B``
-    (Theorem 12; see DESIGN.md for the graded-consensus substitution).
+    (Theorem 12; see "Substitutions" in docs/ARCHITECTURE.md for the
+    graded-consensus substitution).
 
     ``arms`` is an ablation hook: dropping ``"early"`` removes the
     early-stopping arm (losing the ``O(f)`` fallback), dropping ``"class"``

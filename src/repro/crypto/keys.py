@@ -161,9 +161,11 @@ def signature_repr_len(sig: Any) -> Optional[int]:
 class KeyStore:
     """Holds per-process signing secrets; the simulation's trusted PKI.
 
-    Also the execution's cache root: pass ``cache=False`` to run the
-    original uncached hot path (benchmarks use this to measure speedups
-    and assert result equality).
+    Also the execution's cache root: ``cache=False`` turns its memo
+    tables off (the encoding, sign-digest and verification memos), while
+    round-shared reads stay shared either way.  Benchmarks and
+    cache-safety tests use it to measure the memos and assert result
+    equality.
     """
 
     def __init__(self, n: int, seed: int = 0, cache: bool = True) -> None:

@@ -1,15 +1,11 @@
 """Early-stopping Byzantine agreement (the paper's [32] substrate).
 
-SUBSTITUTION NOTE (recorded in DESIGN.md): the paper plugs in the
-Lenzen-Sheikholeslami recursive phase-king protocol, which terminates in
-``O(f)`` rounds with ``O(n^2)`` *total* messages.  We substitute a
-non-recursive phase-king protocol in the same validator style (graded
-consensus before and after a king round -- the very structure Algorithm 5
-generalizes):
-
-* rounds: ``O(f)`` -- identical shape to the paper's substrate;
-* messages: ``O(f * n^2)`` rather than ``O(n^2)``; the wrapper's message
-  benchmark reports both envelopes.
+A non-recursive phase-king protocol in the validator style (graded
+consensus before and after a king round): ``O(f)`` rounds and
+``O(f * n^2)`` messages for ``t < n/3``.  It stands in for the paper's
+Lenzen-Sheikholeslami recursive phase king (``O(n^2)`` messages in
+total); the "Substitutions" section of docs/ARCHITECTURE.md records what
+that changes.
 
 Protocol, per phase ``p`` (5 rounds): 3-grade graded consensus; king
 ``(p - 1) mod n`` broadcasts its value and every process with grade < 2

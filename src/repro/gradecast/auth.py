@@ -1,17 +1,11 @@
 """Authenticated graded consensus with certified locks.
 
-SUBSTITUTION NOTE (recorded in DESIGN.md): the paper cites Momose-Ren [37]
-for a 4-round, ``O(n^2)``-message graded consensus tolerating ``t < n/2``.
-We substitute a 2-round *certified* graded consensus whose fault tolerance
-is ``t < n/3``: round-1 echoes are signed, and a round-2 lock message must
-carry a quorum certificate of ``n - t`` distinct signed echoes for its
-value.  Consequences:
-
-* all complexity shapes used by Theorem 12's reproduction (rounds
-  ``O(min{B/n + 1, f})``, messages per invocation ``O(n^2)``) are preserved;
-* our end-to-end authenticated pipeline requires ``t < n/3`` rather than
-  ``t < (1/2 - eps) n``; Algorithm 7 itself is implemented exactly as in
-  the paper and retains its ``t < n/2`` tolerance standalone.
+A 2-round *certified* graded consensus that tolerates ``t < n/3``:
+round-1 echoes are signed, and a round-2 lock message must carry a
+quorum certificate of ``n - t`` distinct signed echoes for its value.
+It stands in for the paper's Momose-Ren [37] (``t < n/2``); the
+"Substitutions" section of docs/ARCHITECTURE.md records what that
+changes.
 
 Correctness: quorum certificates pin a unique value (two certificates for
 different values would need an honest double-echo, impossible), signatures
@@ -24,9 +18,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Generator, List, Optional, Tuple
 
-from ..crypto.keys import KeyStore, Signature
+from ..crypto.keys import KeyStore, Signature, canonical_encode
 from ..net.context import ProcessContext
-from ..net.message import Envelope, Pairs, by_tag, reduce_by_tag
+from ..net.message import Envelope, Pairs, reduce_by_tag
 from ..perf import memoized_check
 from ..util import is_hashable
 
@@ -56,17 +50,22 @@ def _valid_echo(body: Any, sender: int, tag: tuple, keystore: KeyStore) -> bool:
     )
 
 
-def _certified_lock(body: Any, tag: tuple, quorum: int, keystore: KeyStore) -> bool:
-    """Does lock ``body = (value, cert)`` carry ``quorum`` valid echo signers?
+def _certified_lock(
+    lock_value: Any, cert: tuple, tag: tuple, quorum: int, keystore: KeyStore
+) -> bool:
+    """Does ``cert`` carry ``quorum`` valid echo signers of ``lock_value``?
 
-    Memoized per broadcast body object for the same reason as
-    :func:`_valid_echo`; a lock certificate of ``n - t`` signatures is by
-    far the protocol's most expensive per-recipient check.
+    Every honest locker of a round broadcasts the one certificate object
+    that round 1's shared read built, so the check memoizes on that
+    object.  The memo key is the echo message's exact canonical encoding,
+    never the value compared with ``==``: ``1``, ``True`` and ``1.0``
+    compare equal but sign differently, so a certificate replayed under
+    an equal value is checked afresh.  A value outside the encoding has
+    no valid signature at all.
     """
+    message = _echo_message(tag, lock_value)
 
     def compute() -> bool:
-        lock_value, cert = body
-        message = _echo_message(tag, lock_value)
         signers = {
             sig.signer
             for sig in cert
@@ -74,9 +73,11 @@ def _certified_lock(body: Any, tag: tuple, quorum: int, keystore: KeyStore) -> b
         }
         return len(signers) >= quorum
 
-    return memoized_check(
-        keystore, "gc_lock", body, (tag, quorum), compute, positive=bool
-    )
+    try:
+        key = (canonical_encode(message), quorum)
+    except TypeError:
+        return False
+    return memoized_check(keystore, "gc_lock", cert, key, compute, positive=bool)
 
 
 def echo_quorum(
@@ -109,6 +110,35 @@ def echo_quorum(
     return None, None
 
 
+def lock_tally(
+    pairs: Pairs, tag: tuple, quorum: int, keystore: KeyStore
+) -> Tuple[Counter, Optional[Any]]:
+    """Round 2's read: ``(lock_counts, certified)`` from the lock pairs.
+
+    ``lock_counts`` counts the locks ``(value, cert)`` whose tuple
+    certificate holds ``quorum`` valid echo signers, per value, and
+    ``certified`` is the first non-``None`` value among them (``None``
+    without one).  Bodies that are not pairs, certificates that are not
+    tuples and unhashable values are ignored as silence.
+
+    A pure reducer for :func:`~repro.net.message.reduce_by_tag`, like
+    :func:`echo_quorum`: the result may be shared, so it is read-only.
+    """
+    lock_counts: Counter = Counter()
+    certified: Optional[Any] = None
+    for _, body in pairs:
+        if not (isinstance(body, tuple) and len(body) == 2):
+            continue
+        lock_value, cert = body
+        if not isinstance(cert, tuple) or not is_hashable(lock_value):
+            continue
+        if _certified_lock(lock_value, cert, tag, quorum, keystore):
+            lock_counts[lock_value] += 1
+            if certified is None:
+                certified = lock_value
+    return lock_counts, certified
+
+
 def graded_consensus_auth(
     ctx: ProcessContext,
     tag: tuple,
@@ -135,22 +165,10 @@ def graded_consensus_auth(
     )
     inbox = yield outgoing
 
-    lock_counts: Counter = Counter()
-    certified_value: Optional[Any] = None
-    has_lock = certificate is not None
-    if has_lock:
-        certified_value = locked
-    for _, body in by_tag(inbox, round2_tag):
-        if not (isinstance(body, tuple) and len(body) == 2):
-            continue
-        lock_value, cert = body
-        if not isinstance(cert, tuple) or not is_hashable(lock_value):
-            continue
-        if _certified_lock(body, tag, quorum, keystore):
-            lock_counts[lock_value] += 1
-            if certified_value is None:
-                certified_value = lock_value
-
+    lock_counts, certified = reduce_by_tag(
+        inbox, round2_tag, lock_tally, tag, quorum, keystore
+    )
+    certified_value = certified if locked is None else locked
     if certified_value is not None:
         grade = 1 if lock_counts[certified_value] >= quorum else 0
         return (certified_value, grade)

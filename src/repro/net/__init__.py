@@ -18,8 +18,6 @@ from .protocol import (
     SimulationTimeout,
     idle,
     run_exactly,
-    run_parallel,
-    run_to_completion,
 )
 
 __all__ = [
@@ -41,8 +39,6 @@ __all__ = [
     "payload_bits",
     "reduce_by_tag",
     "run_exactly",
-    "run_parallel",
-    "run_to_completion",
     "render_trace",
     "senders_of",
     "tagged",

@@ -65,50 +65,3 @@ def idle(num_rounds: int) -> Generator[List[Envelope], List[Envelope], None]:
     """Spend ``num_rounds`` rounds sending nothing and ignoring the inbox."""
     for _ in range(num_rounds):
         yield []
-
-
-def run_to_completion(sub: Generator) -> Generator[List[Envelope], List[Envelope], Any]:
-    """Drive ``sub`` until it returns, forwarding its rounds unchanged.
-
-    Equivalent to ``yield from sub`` but usable when the caller holds a
-    generator object rather than delegating syntactically.
-    """
-    result = yield from sub
-    return result
-
-
-def run_parallel(
-    subs: List[Generator],
-) -> Generator[List[Envelope], List[Envelope], List[Any]]:
-    """Run sub-protocols concurrently, sharing each round's sends and inbox.
-
-    Every sub-protocol receives the *full* inbox each round and is expected
-    to filter by its own tags (the library-wide convention), which is how
-    Algorithm 7 runs ``n`` Byzantine-broadcast instances in parallel.  The
-    combined protocol finishes when the slowest sub-protocol finishes;
-    early finishers idle.  Returns the list of results in input order.
-    """
-    total = len(subs)
-    results: List[Any] = [None] * total
-    done = [False] * total
-    pending: List[List[Envelope]] = [[] for _ in range(total)]
-    for idx, sub in enumerate(subs):
-        try:
-            pending[idx] = sub.send(None)
-        except StopIteration as stop:
-            done[idx], results[idx] = True, stop.value
-            pending[idx] = []
-    while not all(done):
-        merged: List[Envelope] = []
-        for out in pending:
-            merged.extend(out)
-        inbox = yield merged
-        for idx, sub in enumerate(subs):
-            pending[idx] = []
-            if done[idx]:
-                continue
-            try:
-                pending[idx] = sub.send(inbox)
-            except StopIteration as stop:
-                done[idx], results[idx] = True, stop.value
-    return results

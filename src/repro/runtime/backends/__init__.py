@@ -72,7 +72,8 @@ def make_backend(
         # A typo'd backend name must not silently run the campaign on
         # the local machine while the connected fleet sits idle.
         raise ValueError(
-            f"--connect only applies to the socket backend, not {name!r}"
+            f"connect=[...] (--connect on the CLI) only applies to the "
+            f"socket backend, not {name!r}"
         )
     if name == "serial":
         return SerialBackend()
@@ -81,7 +82,9 @@ def make_backend(
     if name == "socket":
         if not connect:
             raise ValueError(
-                "socket backend needs --connect HOST:PORT[,HOST:PORT...]"
+                "socket backend needs worker addresses: pass "
+                "connect=['HOST:PORT', ...] or a SocketBackend(['HOST:PORT', "
+                "...]) instance (--connect HOST:PORT[,HOST:PORT...] on the CLI)"
             )
         return SocketBackend(
             list(connect), job_timeout=job_timeout, require_all=require_all,

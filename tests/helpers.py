@@ -43,6 +43,18 @@ def honest_ids(n: int, faulty_ids: Iterable[int]) -> list:
     return [pid for pid in range(n) if pid not in faulty]
 
 
+def first_per_sender(envelopes: Iterable[Any], tag: Any) -> list:
+    """``(sender, body)`` of the first envelope per sender under ``tag``,
+    scanned one envelope at a time: the reference ``by_tag`` read."""
+    seen, out = set(), []
+    for env in envelopes:
+        env_tag, body = env.parts()
+        if env_tag == tag and env.sender not in seen:
+            seen.add(env.sender)
+            out.append((env.sender, body))
+    return out
+
+
 def assert_agreement(result: ExecutionResult) -> Any:
     values = set(result.decisions.values())
     assert len(result.decisions) == len(result.honest_ids), "missing decisions"

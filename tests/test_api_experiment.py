@@ -216,6 +216,13 @@ class TestExecution:
         assert not [w for w in caught
                     if issubclass(w.category, ResourceWarning)]
 
+    def test_socket_by_name_names_the_api_remedy(self):
+        # A Python caller cannot pass a CLI flag: the error names the
+        # SocketBackend instance as well as --connect.
+        with pytest.raises(ValueError, match=r"SocketBackend\(\[") as info:
+            Experiment(n=5).run(backend="socket")
+        assert "--connect" in str(info.value)
+
     def test_campaign_aggregation_shortcuts(self):
         campaign = Experiment(n=5, budget=[0, 1, 2]).run()
         summary = campaign.summarize(by=["n"])

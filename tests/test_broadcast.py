@@ -2,6 +2,7 @@
 classic Dolev-Strong baseline."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.adversary import RandomNoiseAdversary, ScriptedAdversary
 from repro.broadcast import (
@@ -10,16 +11,19 @@ from repro.broadcast import (
     bb_with_implicit_committee,
     dolev_strong,
 )
+from repro.broadcast.implicit_committee import _valid_chains, bb_instances
 from repro.crypto import (
     KeyStore,
     committee_message,
     extend_chain,
+    inspect_chain,
     make_certificate,
     start_chain,
 )
-from repro.net.message import Envelope, tagged
+from repro.net.message import Envelope, reduce_by_tag, tagged
+from repro.util import is_hashable
 
-from helpers import run_sub
+from helpers import first_per_sender, run_sub
 
 TAG = ("bb",)
 
@@ -152,6 +156,128 @@ class TestImplicitCommittee:
             adversary=RandomNoiseAdversary(seed=5),
         )
         assert all(v == "x" for v in result.decisions.values())
+
+
+def reference_valid_chains(pairs, sender, length, t, keystore):
+    """A round of Algorithm 6 as each recipient read it before the read
+    was shared: the per-recipient loop, unmemoized."""
+    chains = []
+    for _, body in pairs:
+        info = inspect_chain(body, t, keystore)
+        if info is None or info.starter != sender:
+            continue
+        if not is_hashable(info.value):
+            continue
+        if not info.is_valid_length(length):
+            continue
+        chains.append((info.value, body))
+    return chains
+
+
+def exact_chains(chains):
+    """Chains by value (type spelled out) and object identity."""
+    return [(repr(value), id(chain)) for value, chain in chains]
+
+
+#: Adversary chains under instance ``s``'s tag in some round: a chain a
+#: faulty process started (a foreign starter), an honest chain of the
+#: round extended by a faulty link (the wrong length), a faulty sender's
+#: own chain for an unhashable value, and an honest chain of the round
+#: or of the round before replayed from a faulty id.
+CHAIN_FAULTS = ("foreign-starter", "wrong-length", "unhashable",
+                "replayed-relay", "stale-relay")
+
+
+@st.composite
+def chain_rounds(draw):
+    n = draw(st.integers(4, 8))
+    t = (n - 1) // 3
+    k = draw(st.integers(1, 2))
+    faulty = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=t)))
+    honest = [pid for pid in range(n) if pid not in faulty]
+    values = {pid: draw(st.integers(0, 1)) for pid in honest}
+    attacks = draw(st.lists(st.tuples(
+        st.sampled_from(CHAIN_FAULTS), st.sampled_from(faulty),
+        st.sampled_from(honest), st.integers(0, n - 1), st.integers(1, k + 1),
+    ), max_size=3 * n))
+    return n, t, k, faulty, honest, values, attacks
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_rounds())
+def test_shared_chain_read_equals_per_recipient_loop(round_):
+    n, t, k, faulty, honest, values, attacks = round_
+    ks = KeyStore(n, seed=7)
+    reference_ks = KeyStore(n, seed=7, cache=False)
+    certs = {pid: build_cert(ks, pid, t) for pid in range(n)}
+    instances = [(TAG + ("bb", s), s) for s in range(n)]
+
+    def probe(ctx):
+        # The real protocol, with each round read through the shared
+        # reducer first: on the shared view the protocol gets this object.
+        protocol = bb_instances(
+            ctx, instances, values[ctx.pid], k, certs[ctx.pid], ks
+        )
+        outgoing, reads = protocol.send(None), []
+        for length in range(1, k + 2):
+            inbox = yield outgoing
+            reads.append(([
+                reduce_by_tag(inbox, tag, _valid_chains, s, length, ctx.t, ks)
+                for tag, s in instances
+            ], list(inbox)))
+            if length <= k:
+                outgoing = protocol.send(inbox)
+        with pytest.raises(StopIteration):
+            protocol.send(inbox)
+        return reads
+
+    seen = {}  # round -> tag -> honest chains of that round
+
+    def script(view, world):
+        r = view.round_no
+        seen[r] = {}
+        for send in view.honest_sends:
+            tag, chain = send.payload
+            seen[r].setdefault(tag, []).append(chain)
+        out = []
+        for kind, sender, recipient, s, round_no in attacks:
+            if round_no != r:
+                continue
+            tag = TAG + ("bb", s)
+            current = seen[r].get(tag, [])
+            stale = seen.get(r - 1, {}).get(tag, [])
+            if kind == "foreign-starter":
+                chain = start_chain(s, certs[sender], world.signer, sender)
+            elif kind == "unhashable":
+                tag = TAG + ("bb", sender)
+                chain = start_chain([s], certs[sender], world.signer, sender)
+            elif kind == "wrong-length" and current:
+                chain = extend_chain(current[0], certs[sender], world.signer, sender)
+            elif kind == "replayed-relay" and current:
+                chain = current[-1]
+            elif kind == "stale-relay" and stale:
+                chain = stale[-1]
+            else:
+                continue
+            out.append(Envelope(sender, recipient, tagged(tag, chain)))
+        return out
+
+    result = run_sub(n, t, faulty, probe, ScriptedAdversary(script), keystore=ks)
+
+    for length in range(1, k + 2):
+        for index, (tag, s) in enumerate(instances):
+            shared = []
+            for pid in honest:
+                got, inbox = result.decisions[pid][length - 1]
+                reference = reference_valid_chains(
+                    first_per_sender(inbox, tag), s, length, t, reference_ks
+                )
+                assert exact_chains(got[index]) == exact_chains(reference)
+                if not any(env.sender in faulty and env.parts()[0] == tag
+                           for env in inbox):
+                    shared.append(got[index])
+            # Every recipient on the shared view holds the one result.
+            assert all(chains is shared[0] for chains in shared)
 
 
 def ds_factory(keystore, sender, values):

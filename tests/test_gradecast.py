@@ -2,6 +2,8 @@
 (grades {0,1} and {0,1,2}), certified authenticated, and Algorithm 3
 (core-set) variants."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,11 +19,11 @@ from repro.gradecast import (
     graded_consensus_auth,
     graded_consensus_with_core_set,
 )
-from repro.gradecast.auth import echo_quorum
+from repro.gradecast.auth import echo_quorum, lock_tally
 from repro.net.message import Envelope, reduce_by_tag, tagged
 from repro.util import is_hashable
 
-from helpers import honest_ids, run_sub
+from helpers import first_per_sender, honest_ids, run_sub
 
 TAG = ("gc",)
 
@@ -204,16 +206,6 @@ def reference_echo_quorum(pairs, tag, quorum, keystore):
     return None, None
 
 
-def first_per_sender(envelopes, tag):
-    seen, out = set(), []
-    for env in envelopes:
-        env_tag, body = env.parts()
-        if env_tag == tag and env.sender not in seen:
-            seen.add(env.sender)
-            out.append((env.sender, body))
-    return out
-
-
 ECHO_TAG = ("gc-echo",)
 ROUND1 = ECHO_TAG + ("r1",)
 #: Adversary round-1 envelopes: a replayed honest signature (wrong
@@ -298,6 +290,125 @@ def test_shared_echo_quorum_equals_per_recipient_loop(round_):
     # Every recipient on the shared view holds the one result object.
     assert all(got is shared[0] for got in shared)
     assert all(got[1] is shared[0][1] for got in shared)
+
+
+def reference_lock_tally(pairs, tag, quorum, keystore):
+    """Round 2 of ``graded_consensus_auth`` as each recipient computed it
+    before the read was shared: the per-recipient loop, unmemoized."""
+    lock_counts, certified = Counter(), None
+    for _, body in pairs:
+        if not (isinstance(body, tuple) and len(body) == 2):
+            continue
+        lock_value, cert = body
+        if not isinstance(cert, tuple) or not is_hashable(lock_value):
+            continue
+        message = (tag, "echo", lock_value)
+        signers = {sig.signer for sig in cert
+                   if isinstance(sig, Signature) and keystore.verify(sig, message)}
+        if len(signers) >= quorum:
+            lock_counts[lock_value] += 1
+            if certified is None:
+                certified = lock_value
+    return lock_counts, certified
+
+
+def exact(tally):
+    """A lock tally with each value's type spelled out: ``1``, ``True`` and
+    ``1.0`` are equal keys and equal values, but not the same lock."""
+    lock_counts, certified = tally
+    return sorted((repr(v), c) for v, c in lock_counts.items()), repr(certified)
+
+
+LOCK_TAG = ("gc-lock",)
+ROUND2 = LOCK_TAG + ("r2",)
+#: Adversary round-2 locks, each built from an honest lock of the round
+#: (the adversary is rushing): its certificate replayed under ``True`` and
+#: under ``1.0`` where it certifies ``1`` (``False``/``0.0`` for ``0``),
+#: under the other value, and as is; one signature tampered; the
+#: certificate as a list; an unhashable value; two locks from one sender.
+LOCK_FAULTS = ("as-bool", "as-float", "other-value", "replay", "tampered",
+               "non-tuple", "unhashable", "duplicate")
+
+
+@st.composite
+def lock_rounds(draw):
+    n, t, faulty, honest, values, _ = draw(echo_rounds())
+    attacks = []
+    if faulty:
+        attacks = draw(st.lists(st.tuples(
+            st.sampled_from(LOCK_FAULTS), st.sampled_from(faulty),
+            st.sampled_from(honest), st.integers(0, n - 1),
+        ), max_size=3 * n))
+    return n, t, faulty, honest, values, attacks
+
+
+def lock_attack(kind, sender, recipient, lock):
+    value, cert = lock
+
+    def env(*bodies):
+        return [Envelope(sender, recipient, (ROUND2, body)) for body in bodies]
+
+    if kind == "as-bool":
+        return env((bool(value), cert))
+    if kind == "as-float":
+        return env((float(value), cert))
+    if kind == "other-value":
+        return env((1 - value, cert))
+    if kind == "replay":
+        return env(lock)
+    if kind == "tampered":
+        last = cert[-1]
+        digest = bytes([last.digest[0] ^ 1]) + last.digest[1:]
+        return env((value, cert[:-1] + (Signature(last.signer, digest),)))
+    if kind == "non-tuple":
+        return env((value, list(cert)))
+    if kind == "unhashable":
+        return env(([value], cert))
+    return env((1 - value, cert), lock)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lock_rounds())
+def test_shared_lock_tally_equals_per_recipient_loop(round_):
+    n, t, faulty, honest, values, attacks = round_
+    quorum = n - t
+    ks = KeyStore(n, seed=5)
+    reference_ks = KeyStore(n, seed=5, cache=False)
+
+    def probe(ctx):
+        # The real protocol, with round 2 read through the shared reducer
+        # first: on the shared view the protocol then gets this object.
+        protocol = graded_consensus_auth(ctx, LOCK_TAG, values[ctx.pid], ks)
+        inbox = yield protocol.send(None)
+        inbox = yield protocol.send(inbox)
+        got = reduce_by_tag(inbox, ROUND2, lock_tally, LOCK_TAG, quorum, ks)
+        with pytest.raises(StopIteration):
+            protocol.send(inbox)
+        return got, list(inbox)
+
+    def script(view, world):
+        if view.round_no != 2:
+            return []
+        locks = [send.payload[1] for send in view.honest_sends]
+        if not locks:
+            return []
+        out = []
+        for kind, sender, recipient, which in attacks:
+            out += lock_attack(kind, sender, recipient, locks[which % len(locks)])
+        return out
+
+    result = run_sub(n, t, faulty, probe, ScriptedAdversary(script), keystore=ks)
+
+    shared = []
+    for pid in honest:
+        got, inbox = result.decisions[pid]
+        pairs = first_per_sender(inbox, ROUND2)
+        assert exact(got) == exact(
+            reference_lock_tally(pairs, LOCK_TAG, quorum, reference_ks))
+        if not any(env.sender in faulty for env in inbox):
+            shared.append(got)
+    # Every recipient on the shared view holds the one result object.
+    assert all(got is shared[0] for got in shared)
 
 
 class TestCoreSetGradedConsensus:

@@ -11,7 +11,6 @@ from repro.net import (
     by_tag,
     idle,
     run_exactly,
-    run_parallel,
     tagged,
 )
 from repro.net.adversary import AdversaryView
@@ -179,39 +178,6 @@ class TestCompositionHelpers:
         result = run_sub(2, 0, [], outer)
         assert result.rounds == 4
         assert result.messages == 0
-
-    def test_run_parallel_merges_and_filters(self):
-        def tagged_echo(ctx, tag):
-            inbox = yield ctx.broadcast(tag, ctx.pid)
-            return tuple(sorted(b for _, b in by_tag(inbox, tag)))
-
-        def outer(ctx):
-            results = yield from run_parallel(
-                [tagged_echo(ctx, ("a",)), tagged_echo(ctx, ("b",))]
-            )
-            return tuple(results)
-
-        result = run_sub(3, 0, [], outer)
-        expected = ((0, 1, 2), (0, 1, 2))
-        assert all(v == expected for v in result.decisions.values())
-
-    def test_run_parallel_uneven_lengths(self):
-        def short(ctx):
-            yield []
-            return "s"
-
-        def long(ctx):
-            for _ in range(3):
-                yield []
-            return "l"
-
-        def outer(ctx):
-            results = yield from run_parallel([short(ctx), long(ctx)])
-            return tuple(results)
-
-        result = run_sub(2, 0, [], outer)
-        assert result.rounds == 3
-        assert all(v == ("s", "l") for v in result.decisions.values())
 
 
 class TestMessageHelpers:

@@ -14,7 +14,7 @@ from repro.crypto import (
     start_chain,
 )
 from repro.net.message import Envelope
-from repro.net.protocol import run_exactly, run_parallel
+from repro.net.protocol import run_exactly
 
 
 def _cert(keystore, pid, t):
@@ -75,36 +75,6 @@ def test_run_exactly_consumes_exact_round_count(sub_rounds, budget):
     assert rounds == budget
     assert finished == (sub_rounds <= budget)
     assert result == ("done" if finished else "fb")
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=4))
-def test_run_parallel_duration_is_max(sub_lengths):
-    """Parallel composition's round count is the max over sub-protocols."""
-
-    def sub(length, label):
-        for _ in range(length):
-            yield []
-        return label
-
-    def outer():
-        results = yield from run_parallel(
-            [sub(length, idx) for idx, length in enumerate(sub_lengths)]
-        )
-        return results
-
-    gen = outer()
-    rounds = 0
-    try:
-        gen.send(None)
-        rounds += 1
-        while True:
-            gen.send([])
-            rounds += 1
-    except StopIteration as stop:
-        results = stop.value
-    assert rounds == max(sub_lengths)
-    assert results == list(range(len(sub_lengths)))
 
 
 @settings(max_examples=25, deadline=None)
