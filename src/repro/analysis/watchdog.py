@@ -19,7 +19,7 @@ Instrumentation points:
 
 * :func:`traced_lock` -- a drop-in ``threading.Lock`` wrapper used by
   the long-lived locks worth auditing (``Telemetry._lock``,
-  ``MetricsRegistry._lock``, the worker and reconnector locks).
+  ``MetricsRegistry._lock``, the worker locks).
 * :func:`lock_acquired` / :func:`lock_released` -- manual hooks for
   resources that guard like locks but are not ``threading.Lock``
   objects (the store's flock-based writer lockfile).

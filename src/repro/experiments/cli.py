@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--log-level", choices=sorted(LOG_LEVELS), default=None,
         help="structured log verbosity on stderr for the repro logging "
-        "tree (driver retry/reconnect/requeue lines at warning+)",
+        "tree (driver retry/resend/requeue lines at warning+)",
     )
 
     report = commands.add_parser(
@@ -292,13 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--log-level", choices=sorted(LOG_LEVELS), default="info",
         help="structured log verbosity on stderr (accept/handshake/"
         "disconnect lines); debug adds per-connection detail",
-    )
-    worker.add_argument(
-        "--chaos", default=None, metavar="SPEC",
-        help="fault injection on outbound frames, e.g. "
-        "'drop=0.05,delay=0.2,delay_s=0.1,reset=0.02,seed=7' "
-        "(keys: drop/delay/stall/corrupt/truncate/reset probabilities, "
-        "delay_s/stall_s durations, seed; see docs/RESILIENCE.md)",
     )
 
     stats = commands.add_parser(
@@ -400,11 +393,6 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
         help="socket backend: extra connect rounds for unreachable "
         "workers, with exponential backoff (default: 2)",
     )
-    parser.add_argument(
-        "--backoff", type=float, default=0.5, metavar="SECONDS",
-        help="socket backend: base backoff for connect retries and "
-        "mid-campaign reconnects (doubles per failure; default: 0.5)",
-    )
 
 
 def _backend_from_flags(args: argparse.Namespace) -> Backend:
@@ -417,7 +405,6 @@ def _backend_from_flags(args: argparse.Namespace) -> Backend:
         job_timeout=args.job_timeout,
         require_all=args.require_all,
         connect_retries=args.connect_retries,
-        backoff=args.backoff,
     )
 
 
@@ -491,12 +478,10 @@ def _campaign_command(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     stats = campaign.stats
-    quarantined = (f" (quarantined {stats.quarantined})"
-                   if stats.quarantined else "")
     print(
         f"campaign: {stats.total} scenarios | executed {stats.executed} | "
         f"cached {stats.cached} | deduplicated {stats.deduplicated} | "
-        f"failed {stats.failed}{quarantined}"
+        f"failed {stats.failed}"
     )
     if campaign.backend_summary:
         print(campaign.backend_summary)
@@ -521,13 +506,6 @@ def _campaign_command(args: argparse.Namespace) -> int:
                   + "; ".join(violation["problems"]))
         if stats.failed:
             print(f"{stats.failed} scenario(s) failed to execute")
-        if stats.quarantined:
-            for row in campaign.rows:
-                block = row.get("quarantine")
-                if block:
-                    print(f"QUARANTINED {block['scenario'][:12]}: crashed "
-                          f"{len(block['executors'])} executor(s) "
-                          f"({', '.join(block['executors'])})")
         return 1
     return 0
 
@@ -572,13 +550,11 @@ def _report_command(args: argparse.Namespace) -> int:
 
 
 def _worker_command(args: argparse.Namespace) -> int:
-    from ..runtime.backends.chaos import ChaosPolicy
     from ..runtime.backends.worker import serve
 
     try:
-        chaos = ChaosPolicy.parse(args.chaos) if args.chaos else None
         return serve(args.serve, die_after_jobs=args.die_after_jobs,
-                     log_level=args.log_level, chaos=chaos)
+                     log_level=args.log_level)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -104,8 +104,6 @@ class LiveReporter:
     def compose(self, final: bool = False) -> str:
         """One progress line from the current registry state."""
         registry = metrics.current()
-        # Quarantined rows are a subset of failed, so they are not added
-        # separately -- completed + failed covers every resolved job.
         done = int(
             registry.value("campaign.completed")
             + registry.value("campaign.failed")
@@ -120,7 +118,6 @@ class LiveReporter:
         for label, name in (
             ("cached", "campaign.cached"),
             ("failed", "campaign.failed"),
-            ("quarantined", "campaign.quarantined"),
         ):
             value = int(registry.value(name))
             if value:

@@ -13,9 +13,8 @@ answer "where did the wall-clock go".  Three views:
   phases, quantifying exactly how much of a <1x-speedup backend's time
   is overhead rather than execution;
 * **resilience summary** -- every recovery action the backend took
-  (connect retries, reconnects, worker deaths, requeues, job resends,
-  poison probes, quarantines, degradation) so a chaotic campaign's
-  survival story is visible next to its timings.
+  (connect retries, job resends, worker deaths, requeues) so a
+  campaign's survival story is visible next to its timings.
 
 Rendering reuses :func:`repro.reporting.render.format_table` and
 :func:`~repro.reporting.render.sparkline` (imported lazily: this module
@@ -58,10 +57,6 @@ _RESILIENCE_EVENTS = (
     ("socket.resend", "job resend"),
     ("socket.worker_dead", "worker death"),
     ("socket.requeue", "requeue"),
-    ("socket.reconnect", "reconnect"),
-    ("socket.probe", "poison probe"),
-    ("socket.quarantine", "quarantine"),
-    ("backend.degraded", "degraded to local"),
 )
 
 
@@ -162,7 +157,7 @@ def phase_breakdown(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
         at = float(at)
         exec_s = float(attrs.get("exec_s") or 0.0)
         if inflight is None:
-            # Local (serial/pool/degraded) job: only execute is known,
+            # Local (serial/pool) job: only execute is known,
             # ending at the event timestamp.
             mark("execute", at - exec_s, at)
             continue
@@ -309,10 +304,9 @@ def resilience_summary(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Recovery-action table over the backend's resilience events.
 
     One row per event kind that occurred -- ``{event, count, detail}``
-    where detail compresses the most useful attribute(s): which workers
-    died or rejoined, how many scenarios were requeued, which scenario
-    was quarantined.  Empty for a campaign that never had to recover
-    from anything.
+    where detail compresses the most useful attribute: which workers
+    died or were sent a job again, how many scenarios were requeued.
+    Empty for a campaign that never had to recover from anything.
     """
     table = []
     for name, label in _RESILIENCE_EVENTS:
@@ -320,7 +314,7 @@ def resilience_summary(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
         if not events:
             continue
         detail = ""
-        if name in ("socket.worker_dead", "socket.reconnect"):
+        if name in ("socket.worker_dead", "socket.resend"):
             workers = sorted({
                 (event.get("attrs") or {}).get("worker", "?")
                 for event in events
@@ -332,24 +326,6 @@ def resilience_summary(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
                 for event in events
             )
             detail = f"{total} scenario(s)"
-        elif name in ("socket.probe", "socket.quarantine"):
-            keys = sorted({
-                str((event.get("attrs") or {}).get("key", "?"))
-                for event in events
-            })
-            detail = ", ".join(keys)
-        elif name == "backend.degraded":
-            remaining = sum(
-                int((event.get("attrs") or {}).get("remaining") or 0)
-                for event in events
-            )
-            detail = f"{remaining} scenario(s) finished locally"
-        elif name == "socket.resend":
-            workers = sorted({
-                (event.get("attrs") or {}).get("worker", "?")
-                for event in events
-            })
-            detail = ", ".join(workers)
         table.append({"event": label, "count": len(events), "detail": detail})
     return table
 
@@ -390,7 +366,6 @@ def wallclock_summary(rows: Sequence[Dict[str, Any]],
         "executed": campaign_stats.get("executed"),
         "cached": campaign_stats.get("cached"),
         "failed": campaign_stats.get("failed"),
-        "quarantined": campaign_stats.get("quarantined"),
         "sink_bytes": sink_bytes,
     }
 
@@ -469,8 +444,6 @@ def render_stats(rows: Sequence[Dict[str, Any]],
     if summary["coverage"] is not None:
         parts.append(f"telemetry accounts for {summary['coverage'] * 100:.1f}%"
                      " of wall time")
-    if summary["quarantined"]:
-        parts.append(f"quarantined {summary['quarantined']}")
     if summary["sink_bytes"] is not None:
         parts.append(f"sink bytes {summary['sink_bytes']}")
     lines.append("where did the wall-clock go: " + " | ".join(parts))

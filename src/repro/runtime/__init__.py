@@ -35,7 +35,6 @@ from .aggregate import (
 from .backends import (
     Backend,
     BackendError,
-    ChaosPolicy,
     PoolBackend,
     SerialBackend,
     SocketBackend,
@@ -63,7 +62,6 @@ __all__ = [
     "CampaignResult",
     "CampaignRunner",
     "CampaignStats",
-    "ChaosPolicy",
     "PoolBackend",
     "ResultStore",
     "SerialBackend",

@@ -8,11 +8,9 @@ implementations:
   machine, many cores);
 * :class:`SocketBackend` -- TCP workers started with ``python -m repro
   worker --serve HOST:PORT`` (many machines), with hash-space sharding
-  and work stealing, heartbeat liveness, automatic requeue from dead workers, reconnect
-  with backoff, poison-job quarantine, and graceful degradation to
-  local execution (see :mod:`~repro.runtime.backends.socketbackend`);
-  :class:`ChaosPolicy` (:mod:`~repro.runtime.backends.chaos`) injects
-  deterministic transport faults to exercise all of the above.
+  and work stealing, heartbeat liveness, and requeue of a dead worker's
+  scenarios onto the survivors; an empty fleet stops the campaign (see
+  :mod:`~repro.runtime.backends.socketbackend`).
 
 :class:`~repro.runtime.runner.CampaignRunner` orchestrates any of them;
 because every row is a pure function of its scenario's content hash, all
@@ -26,8 +24,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .base import Backend, BackendError, Job, JobResult, execute_job, quarantine_row
-from .chaos import ChaosPolicy, ChaosSocket
+from .base import Backend, BackendError, Job, JobResult, execute_job
 from .pool import PoolBackend
 from .serial import SerialBackend
 from .socketbackend import SocketBackend
@@ -46,7 +43,6 @@ def make_backend(
     job_timeout: float = 300.0,
     require_all: bool = False,
     connect_retries: int = 2,
-    backoff: float = 0.5,
 ) -> Backend:
     """Build a backend by name; the caller closes it (``with`` works).
 
@@ -55,8 +51,8 @@ def make_backend(
     :class:`PoolBackend` of ``workers`` processes otherwise.  An explicit
     ``"pool"`` uses at least 2 processes (a 1-process pool is just a
     slower serial).  ``"socket"`` requires at least one ``HOST:PORT`` in
-    ``connect``; ``job_timeout``, ``require_all``, ``connect_retries``
-    and ``backoff`` are socket-only knobs (see :class:`SocketBackend`).
+    ``connect``; ``job_timeout``, ``require_all`` and ``connect_retries``
+    are socket-only knobs (see :class:`SocketBackend`).
 
     Raises:
         ValueError: ``workers < 1``, an unknown name, ``connect`` with a
@@ -88,7 +84,7 @@ def make_backend(
             )
         return SocketBackend(
             list(connect), job_timeout=job_timeout, require_all=require_all,
-            connect_retries=connect_retries, backoff=backoff,
+            connect_retries=connect_retries,
         )
     raise ValueError(
         f"unknown backend {name!r} (known: {', '.join(BACKEND_NAMES)})"
@@ -99,8 +95,6 @@ __all__ = [
     "BACKEND_NAMES",
     "Backend",
     "BackendError",
-    "ChaosPolicy",
-    "ChaosSocket",
     "Job",
     "JobResult",
     "PROTOCOL_VERSION",
@@ -112,5 +106,4 @@ __all__ = [
     "execute_job",
     "make_backend",
     "parse_address",
-    "quarantine_row",
 ]

@@ -24,9 +24,8 @@ Contract:
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..execute import execute_spec
 from ..scenario import ScenarioSpec
@@ -38,48 +37,9 @@ JobResult = Tuple[str, bool, Dict[str, Any]]
 #: A job result plus its timing sidecar: ``(hash, ok, row, timing)``.
 TimedJobResult = Tuple[str, bool, Dict[str, Any], Dict[str, Any]]
 
-#: Env var holding comma-separated scenario-hash prefixes whose execution
-#: hard-kills the executing process (exit 113, no traceback) -- a test/CI
-#: stand-in for the genuinely poisonous jobs (segfaulting extension, OOM
-#: kill, runaway recursion past the C stack) that ``execute_job``'s
-#: ``except Exception`` can never catch.  Checked in the execution entry
-#: points so it poisons any executor that inherits the environment:
-#: subprocess workers, pool children, and the quarantine machinery's own
-#: isolated probes.
-POISON_ENV = "REPRO_POISON_KEYS"
-
 
 class BackendError(RuntimeError):
     """A backend could not run (or finish) the submitted work."""
-
-
-def _poison_gate(key: str) -> None:
-    """Die hard (``os._exit``) if ``key`` matches :data:`POISON_ENV`."""
-    spec = os.environ.get(POISON_ENV)
-    if not spec:
-        return
-    for prefix in spec.split(","):
-        prefix = prefix.strip()
-        if prefix and key.startswith(prefix):
-            # _exit, not sys.exit: a poison job models a crash that no
-            # except-clause survives, so skip handlers and atexit alike.
-            os._exit(113)
-
-
-def quarantine_row(key: str, executors: Sequence[str]) -> Dict[str, Any]:
-    """The structured failure row for a quarantined scenario.
-
-    Shaped like every other ``{"error": ...}`` row (reported, never
-    stored) plus a ``quarantine`` block naming the evidence, so reports
-    and the CLI can distinguish "this scenario is poison" from ordinary
-    in-row failures.
-    """
-    return {
-        "error": (
-            f"quarantined: crashed {len(executors)} distinct executor(s)"
-        ),
-        "quarantine": {"scenario": key, "executors": sorted(executors)},
-    }
 
 
 def execute_job(job: Job) -> JobResult:
@@ -91,7 +51,6 @@ def execute_job(job: Job) -> JobResult:
     next run -- instead of poisoning the store or killing the campaign.
     """
     key, spec = job
-    _poison_gate(key)
     try:
         return key, True, execute_spec(spec)
     except Exception as exc:  # noqa: BLE001 - reported as a failed row
@@ -111,7 +70,6 @@ def timed_execute_job(job: Job) -> TimedJobResult:
     pool can pickle it like ``execute_job``.
     """
     key, spec = job
-    _poison_gate(key)
     start = time.perf_counter()
     try:
         row = execute_spec(spec, collect_perf=True)

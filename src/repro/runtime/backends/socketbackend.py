@@ -24,46 +24,25 @@ backlog.  Each driver also enforces liveness:
   starves, it does not kill); :data:`~SocketBackend.MAX_RESENDS` losses
   of the same job declare the link dead anyway.
 
-The backend assumes failure is normal, not exceptional:
+Connect retries re-dial unreachable workers with exponential backoff
+and jitter (``connect_retries``) before giving up on an address; by
+default a partial fleet is accepted once at least one worker answers.
 
-* **connect retries** -- ``_connect_all`` retries unreachable workers
-  with exponential backoff + jitter (``connect_retries``/``backoff``)
-  before giving up on an address;
-* **reconnect** -- a background :class:`_Reconnector` keeps redialing
-  addresses that were unreachable or died mid-campaign; a worker that
-  comes (back) up joins the fleet mid-run and steals queued work from
-  its peers (stateless workers + the versioned handshake make this safe);
-* **quarantine** -- a scenario whose executor dies ``quarantine_after``
-  distinct times is *suspected poison*: it is retried once in an
-  isolated local subprocess, and only if that probe also crashes is it
-  quarantined -- reported as a structured failure row (see
-  :func:`~repro.runtime.backends.base.quarantine_row`) instead of
-  cascading through requeue until the fleet is gone.  An innocent
-  scenario that merely sat on repeatedly-dying workers produces its real
-  row from the probe;
-* **degradation** -- if the fleet empties (and, with reconnect on, stays
-  empty for ``degrade_after`` seconds), the driver executes the leftovers
-  locally in isolated subprocesses rather than aborting: campaigns always
-  complete.  ``degrade=False`` restores the old fail-stop behavior.
-  Probes and degradation share one isolated-subprocess runner;
-* **fault injection** -- ``chaos=ChaosPolicy(...)`` wraps each worker
-  connection (post-handshake) so all of the above can be exercised
-  deterministically; see :mod:`~repro.runtime.backends.chaos`.
-
-Scenarios owned by a dead worker are requeued onto the survivors (again
-by hash), and results are deduplicated by scenario hash, so a campaign
-that loses workers yields exactly one row per scenario -- byte-identical
-to a serial run, because rows are pure functions of their specs.  Every
-recovery action emits an obs event (``socket.retry``,
-``socket.reconnect``, ``socket.resend``, ``socket.quarantine``,
-``backend.degraded``) rendered by ``repro stats``.
+Failure handling follows two rules.  A dead worker's scenarios are
+requeued onto the survivors (again by hash), and results are
+deduplicated by scenario hash, so a campaign that loses workers yields
+exactly one row per scenario -- byte-identical to a serial run, because
+rows are pure functions of their specs.  When the last worker dies with
+scenarios unfinished, the campaign stops with :class:`BackendError`;
+the runner has stored every row that finished, so a store-backed rerun
+resumes where it stopped.  Every recovery action emits an obs event
+(``socket.retry``, ``socket.resend``, ``socket.worker_dead``,
+``socket.requeue``) rendered by ``repro stats``.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
-import multiprocessing
 import queue
 import random
 import socket
@@ -73,12 +52,10 @@ from typing import (
     Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union,
 )
 
-from ...analysis.watchdog import traced_lock
 from ...obs import metrics
 from ...obs.logsetup import kv
 from ...obs.spans import Telemetry, current
-from .base import Backend, BackendError, Job, JobResult, execute_job, quarantine_row
-from .chaos import ChaosPolicy
+from .base import Backend, BackendError, Job, JobResult
 from .wire import (
     PROTOCOL_VERSION,
     FrameReceiver,
@@ -89,22 +66,17 @@ from .wire import (
     send_frame,
 )
 
-#: Structured driver-side log (retry/reconnect/resend/quarantine events).
+#: Structured driver-side log (retry/resend/requeue events).
 _log = logging.getLogger("repro.socket")
 
 #: Sentinel telling a driver thread its worker has no further work.
 _DONE = object()
 
-#: Ceiling on connect/reconnect backoff growth.
+#: Base delay of the first connect retry; it doubles per retry round.
+_BACKOFF_S = 0.5
+
+#: Ceiling on connect-retry backoff growth.
 _MAX_BACKOFF_S = 30.0
-
-#: Extra allowance on isolated-subprocess deadlines: a ``spawn`` child
-#: pays interpreter + import startup that a TCP worker already paid.
-_SPAWN_GRACE_S = 30.0
-
-#: One isolated-runner outcome: ``(key, (ok, row))`` for a finished job,
-#: ``(key, None)`` for the job its child crashed or stalled on.
-_Outcome = Tuple[str, Optional[Tuple[bool, Dict[str, Any]]]]
 
 #: One submit-loop event: ``(kind, link, payload)``.
 _Event = Tuple[str, Any, Any]
@@ -153,15 +125,11 @@ class _Occupancy:
 
 
 class _WorkerLink:
-    """Driver-side state for one connected worker (one connection *generation*:
-    a reconnect to the same address builds a fresh link)."""
+    """Driver-side state for one connected worker, labelled by its address."""
 
-    def __init__(self, address: str, sock: Any, ident: str = "") -> None:
+    def __init__(self, address: str, sock: Any) -> None:
         self.address = address
         self.sock = sock
-        #: Distinct-executor identity for quarantine evidence: the same
-        #: address reconnected is a *new* executor (``addr#gN``).
-        self.ident = ident or address
         #: Resumable reader: heartbeat timeouts must not lose the bytes
         #: of a result frame caught mid-flight (see ``wire.FrameReceiver``).
         self.reader = FrameReceiver(sock)
@@ -249,99 +217,16 @@ class _WorkerDied(Exception):
     """Internal: the link's worker is unreachable or unresponsive."""
 
 
-class _Reconnector:
-    """Background redialer: turns down addresses back into live links.
-
-    Owns a per-address exponential backoff schedule.  ``mark_down`` is
-    called for addresses unreachable at connect time and for links that
-    die mid-campaign; each successful redial is announced on the
-    backend's event queue as a ``("joined", link, None)`` event, which
-    the submit loop turns into a live driver thread that steals queued
-    work from its peers.  Stateless workers make rejoin safe: the fresh
-    handshake re-checks the protocol version and the new link starts
-    empty.
-    """
-
-    def __init__(self, backend: "SocketBackend",
-                 events: "queue.Queue[_Event]") -> None:
-        self._backend = backend
-        self._events = events
-        self._stop = threading.Event()
-        # Watchdog-instrumented: guards only the backoff schedule and is
-        # never held across _open_link (a blocking connect).
-        self._lock = traced_lock("_Reconnector._lock")
-        self._due: Dict[str, float] = {}
-        self._delay: Dict[str, float] = {}
-        self._thread = threading.Thread(
-            target=self._run, name="socket-reconnect", daemon=True,
-        )
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Stop redialing and join the thread (for at most one connect
-        deadline plus a second).
-
-        A redial that lands while stopping has either posted its link on
-        the event queue by the time this returns, so a drain after
-        ``stop()`` closes it, or sees the stop flag and closes the link
-        itself -- as does a handshake still running when the join gives
-        up.
-        """
-        self._stop.set()
-        if self._thread.ident is not None:
-            self._thread.join(timeout=self._backend.connect_timeout + 1.0)
-
-    def mark_down(self, address: str) -> None:
-        """Schedule ``address`` for redialing (idempotent while down)."""
-        with self._lock:
-            if address in self._due:
-                return
-            delay = self._backend.backoff
-            self._delay[address] = delay
-            self._due[address] = time.monotonic() + _jittered(delay)
-
-    def _run(self) -> None:
-        while not self._stop.wait(0.05):
-            now = time.monotonic()
-            with self._lock:
-                ready = [a for a, due in self._due.items() if due <= now]
-            for address in ready:
-                try:
-                    link = self._backend._open_link(address)
-                except (BackendError, OSError) as exc:
-                    with self._lock:
-                        delay = min(self._delay[address] * 2, _MAX_BACKOFF_S)
-                        self._delay[address] = delay
-                        self._due[address] = time.monotonic() + _jittered(delay)
-                    _log.debug(kv("redial-failed", worker=address,
-                                  retry_in_s=round(delay, 3), error=str(exc)))
-                    continue
-                if self._stop.is_set():
-                    link.close()
-                    return
-                with self._lock:
-                    self._due.pop(address, None)
-                    self._delay.pop(address, None)
-                _log.info(kv("reconnected", worker=address, ident=link.ident))
-                current().event("socket.reconnect", worker=address,
-                                ident=link.ident)
-                self._events.put(("joined", link, None))
-
-
 class _Submission:
     """The state of one :meth:`SocketBackend.submit` call, and its handlers.
 
-    Driver threads, the reconnector and poison probes post ``(kind,
-    link, payload)`` events; the submit loop hands each to the handler
-    of its kind -- :meth:`on_result`, :meth:`on_dead`, :meth:`on_joined`,
-    :meth:`on_probed` -- and runs :meth:`degrade` between events.  Each
-    handler returns the results it settled.  Every field is written only
-    on the submit thread: the other threads just post events, so no
-    handler needs a lock.  Driver threads read two things besides their
-    own link: ``live``, to pick a peer to steal from, and the peers' job
-    queues, which are thread-safe.
+    Driver threads post ``(kind, link, payload)`` events; the submit loop
+    hands each ``result`` to :meth:`on_result`, which returns the results
+    it settled, and each ``dead`` to :meth:`on_dead`.  Every field is
+    written only on the submit thread: driver threads just post events,
+    so no handler needs a lock.  Driver threads read two things besides
+    their own link: ``live``, to pick a peer to steal from, and the
+    peers' job queues, which are thread-safe.
     """
 
     def __init__(self, backend: "SocketBackend", pending: List[Job],
@@ -349,85 +234,42 @@ class _Submission:
         self.backend = backend
         self.telemetry = current()
         self.events: "queue.Queue[_Event]" = queue.Queue()
-        self.jobs: Dict[str, Job] = {key: (key, spec) for key, spec in pending}
-        self.remaining: Set[str] = set(self.jobs)
-        #: Scenario hash -> distinct executor idents that died with it in
-        #: flight (the quarantine evidence).
-        self.deaths: Dict[str, Set[str]] = {}
-        #: Keys currently being probed in an isolated subprocess.
-        self.probing: Set[str] = set()
-        #: Salvaged jobs with no live link to run them (await rejoin/degrade).
-        self.unassigned: Dict[str, Job] = {}
+        self.remaining: Set[str] = {key for key, _ in pending}
+        #: Every link of this submit, dead ones included.
+        self.links = links
         self.live: List[_WorkerLink] = list(links)
-        #: Every link of this submit, including dead ones (the live view
-        #: reads it from the reporter thread; appends are GIL-atomic).
-        self.all_links: List[_WorkerLink] = list(links)
-        self.degrade_deadline: Optional[float] = None
         self.threads: List[threading.Thread] = []
-        self.reconnector: Optional[_Reconnector] = None
         self.stats: Dict[str, Any] = {
             "workers": len(links),
             "unreachable": unreachable,
             "lost": 0,
             "requeued": 0,
             "duplicates": 0,
-            "reconnects": 0,
             "resends": 0,
-            "probed": 0,
-            "quarantined": 0,
-            "degraded": False,
             "per_worker": {},
             "ping_rtt_s": [],
-            "chaos": {},
         }
         for key, spec in pending:
             links[_shard(key, len(links))].enqueue(key, spec)
 
-    def spawn(self, target: Callable[..., None], args: Tuple[Any, ...],
-              name: str) -> None:
-        """Start a daemon thread that :meth:`close` joins."""
-        thread = threading.Thread(target=target, args=args, name=name,
-                                  daemon=True)
+    def start_driver(self, link: _WorkerLink) -> None:
+        """Start the link's driver thread, which :meth:`close` joins."""
+        # The driver reads ``live`` to pick a peer to steal from: a
+        # GIL-atomic read of a list only the submit thread rebinds.
+        thread = threading.Thread(
+            target=self.backend._drive,
+            args=(link, self.events, lambda: self.live),
+            name=f"socket-driver:{link.address}", daemon=True,
+        )
         thread.start()
         self.threads.append(thread)
-
-    def start_driver(self, link: _WorkerLink) -> None:
-        # The driver reads ``live`` to pick a peer to steal from: a
-        # GIL-atomic read of a list only this thread rebinds or appends to.
-        self.spawn(self.backend._drive, (link, self.events, lambda: self.live),
-                   f"socket-driver:{link.ident}")
-
-    def start_probe(self, job: Job) -> None:
-        """Re-run a poison suspect alone in an isolated subprocess; the
-        probe thread only posts the outcome (see :meth:`on_probed`)."""
-        key = job[0]
-        self.probing.add(key)
-        self.stats["probed"] += 1
-        _log.warning(kv("poison-suspect", key=key[:12],
-                        deaths=len(self.deaths.get(key, ()))))
-        self.telemetry.event("socket.probe", key=key[:12],
-                             deaths=len(self.deaths.get(key, ())))
-        self.spawn(self.backend._probe, (job, self.events),
-                   f"socket-probe:{key[:12]}")
-
-    def next_event(self) -> Optional[_Event]:
-        """The next event; ``None`` when a pending degrade deadline
-        passes first."""
-        timeout = None
-        if (self.degrade_deadline is not None and not self.live
-                and self.remaining - self.probing):
-            timeout = max(0.05, self.degrade_deadline - time.monotonic())
-        try:
-            return self.events.get(timeout=timeout)
-        except queue.Empty:
-            return None
 
     # -- event handlers ------------------------------------------------
 
     def on_result(self, link: _WorkerLink,
                   payload: JobResult) -> List[JobResult]:
         key = payload[0]
-        if key not in self.remaining or key in self.probing:
+        if key not in self.remaining:
             self.stats["duplicates"] += 1
             return []
         self.remaining.discard(key)
@@ -435,16 +277,16 @@ class _Submission:
         return [payload]
 
     def on_dead(self, link: _WorkerLink,
-                payload: Tuple[List[Job], List[Job]]) -> List[JobResult]:
+                payload: Tuple[List[Job], List[Job]]) -> None:
+        """Requeue a dead link's jobs onto the survivors.
+
+        Raises:
+            BackendError: no live link is left and scenarios remain.
+        """
         inflight_jobs, queued_jobs = payload
         self.live = [peer for peer in self.live if peer is not link]
         link.close()
         self.stats["lost"] += 1
-        # In-flight at death is the poison evidence; merely queued jobs
-        # are innocent bystanders.
-        for key, _ in inflight_jobs:
-            if key in self.remaining:
-                self.deaths.setdefault(key, set()).add(link.ident)
         # The driver thread drained its queue before posting this event,
         # but if another worker died first, the submit loop may have
         # requeued jobs onto the link in that window -- jobs its own
@@ -453,162 +295,41 @@ class _Submission:
         # here, after removing the link from ``live``, is final.
         salvaged = inflight_jobs + queued_jobs + link.drain_jobs()
         self.telemetry.event("socket.worker_dead", worker=link.address,
-                             ident=link.ident, salvaged=len(salvaged))
-        if self.reconnector is not None:
-            self.reconnector.mark_down(link.address)
-        requeue: Dict[str, Job] = {}
-        for job in salvaged:
-            key = job[0]
-            if key not in self.remaining or key in self.probing or key in requeue:
-                continue
-            if len(self.deaths.get(key, ())) >= self.backend.quarantine_after:
-                self.start_probe(job)
-            else:
-                requeue[key] = job
-        if self.live:
-            for key, spec in requeue.values():
-                self.live[_shard(key, len(self.live))].enqueue(key, spec)
-            if requeue:
-                self.telemetry.event("socket.requeue", count=len(requeue),
-                                     survivors=len(self.live))
-        else:
-            self.unassigned.update(requeue)
-        self.stats["requeued"] += len(requeue)
-        metrics.inc("socket.requeues", len(requeue))
-        return []
-
-    def on_joined(self, link: _WorkerLink, payload: None) -> List[JobResult]:
-        self.live.append(link)
-        self.all_links.append(link)
-        self.stats["reconnects"] += 1
-        metrics.inc("socket.reconnects")
-        self.degrade_deadline = None
-        self.start_driver(link)
-        # Work stranded while no link was live goes to the newcomer.  Next
-        # to live peers it starts empty and steals from their queues.
-        for key, job in self.unassigned.items():
-            if key in self.remaining and key not in self.probing:
-                link.enqueue(*job)
-        self.unassigned.clear()
-        return []
-
-    def on_probed(self, link: None, payload: Tuple[Job, Any]) -> List[JobResult]:
-        job, outcome = payload
-        key = job[0]
-        self.probing.discard(key)
-        if key not in self.remaining:
-            self.stats["duplicates"] += 1
-            return []
-        result = self.settle(key, outcome)
-        # A suspect already carries quarantine_after deaths, so settle()
-        # convicts a crashed probe instead of asking for a retry.
-        assert result is not None
-        self.remaining.discard(key)
-        return [result]
-
-    # -- isolated execution (probe outcomes + degradation) -------------
-
-    def settle(self, key: str, outcome: Optional[Tuple[bool, Dict[str, Any]]]
-               ) -> Optional[JobResult]:
-        """The result an isolated-runner outcome settles, if any.
-
-        A finished job is its row.  A crash charges the job with one more
-        executor death; at ``quarantine_after`` deaths the job is
-        quarantined (its structured failure row is returned), below it
-        ``None`` asks the caller to retry it in a fresh child.
-        """
-        if outcome is not None:
-            return key, outcome[0], outcome[1]
-        executors = self.deaths.setdefault(key, set())
-        executors.add(f"isolated#{len(executors) + 1}")
-        if len(executors) < self.backend.quarantine_after:
-            return None
-        self.stats["quarantined"] += 1
-        _log.error(kv("quarantined", key=key[:12], executors=len(executors)))
-        self.telemetry.event("socket.quarantine", key=key[:12],
-                             executors=sorted(executors))
-        return key, False, quarantine_row(key, executors)
-
-    def degrade(self) -> Iterator[JobResult]:
-        """Finish stranded work locally once the fleet is gone for good.
-
-        Runs only with no live link and fleet work left, and (with
-        reconnect on) only after ``degrade_after`` seconds without a
-        rejoin.  The leftovers run in isolated subprocesses; each crash
-        is settled by :meth:`settle`, so even a never-dispatched poison
-        job cannot take the driver down with it.
-        """
-        if self.live:
-            return
-        fleet_work = self.remaining - self.probing
-        if not fleet_work:
-            return
-        backend = self.backend
-        if backend.reconnect:
-            if self.degrade_deadline is None:
-                self.degrade_deadline = time.monotonic() + backend.degrade_after
-            if time.monotonic() < self.degrade_deadline:
-                return
-        if not backend.degrade:
+                             salvaged=len(salvaged))
+        if not self.live and self.remaining:
             raise BackendError(
-                f"all socket worker(s) died with {len(fleet_work)} "
+                f"all socket worker(s) died with {len(self.remaining)} "
                 f"scenario(s) unfinished"
             )
-        self.stats["degraded"] = True
-        self.unassigned.clear()
-        self.degrade_deadline = None
-        _log.warning(kv("degraded", remaining=len(fleet_work)))
-        self.telemetry.event("backend.degraded", remaining=len(fleet_work),
-                             reason="no live workers")
-        pending = [self.jobs[key] for key in sorted(fleet_work)]
-        while pending:
-            settled = 0
-            for key, outcome in backend._run_isolated(pending):
-                result = self.settle(key, outcome)
-                if result is None:
-                    break  # the runner stops after a crash: retry from it
-                settled += 1
-                if key in self.remaining:
-                    self.remaining.discard(key)
-                    yield result
-            pending = pending[settled:]
+        requeue = {key: spec for key, spec in salvaged if key in self.remaining}
+        for key, spec in requeue.items():
+            self.live[_shard(key, len(self.live))].enqueue(key, spec)
+        if requeue:
+            self.telemetry.event("socket.requeue", count=len(requeue),
+                                 survivors=len(self.live))
+        self.stats["requeued"] += len(requeue)
+        metrics.inc("socket.requeues", len(requeue))
 
     # -- teardown --------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the reconnector, dismiss the drivers, join every thread
-        this submit started, close every link and fold the per-link
-        counters into :attr:`stats`."""
-        if self.reconnector is not None:
-            self.reconnector.stop()
+        """Dismiss the drivers, join every thread this submit started,
+        close every link and fold the per-link counters into
+        :attr:`stats`."""
         for link in self.live:
             link.jobs.put(_DONE)
         for thread in self.threads:
             thread.join(timeout=self.backend.ping_grace)
-        # A redial may have landed after the loop finished; those links
-        # never got a driver thread -- just close them.
-        while True:
-            try:
-                kind, link, _ = self.events.get_nowait()
-            except queue.Empty:
-                break
-            if kind == "joined":
-                self.all_links.append(link)
         per_worker: Dict[str, int] = {}
-        chaos_counts: Dict[str, int] = {}
-        for link in self.all_links:
+        for link in self.links:
             link.close()
             per_worker[link.address] = (
                 per_worker.get(link.address, 0) + link.completed
             )
             self.stats["resends"] += link.resends
-            injected = getattr(link.sock, "counts", None) or {}
-            for action, count in injected.items():
-                chaos_counts[action] = chaos_counts.get(action, 0) + count
         self.stats["per_worker"] = per_worker
-        self.stats["chaos"] = chaos_counts
         self.stats["ping_rtt_s"] = [
-            rtt for link in self.all_links for rtt in link.ping_rtts
+            rtt for link in self.links for rtt in link.ping_rtts
         ]
 
 
@@ -628,25 +349,11 @@ class SocketBackend(Backend):
         require_all: with ``True``, fail fast if any address is still
             unreachable after the connect retries; the default tolerates
             unreachable workers as long as at least one connects (they
-            are listed in :meth:`summary` and handed to the reconnector).
+            are listed in :meth:`summary`).
         connect_retries: extra connect rounds for unreachable addresses
-            (exponential backoff from ``backoff``, jittered).  Retries
+            (exponential backoff from half a second, jittered).  Retries
             keep going only while they matter: until at least one worker
             is connected, or until all are with ``require_all``.
-        backoff: base backoff in seconds for connect retries and the
-            background reconnector (doubles per failure, capped).
-        reconnect: keep redialing down addresses in the background so
-            dead or late-starting workers join mid-campaign.
-        quarantine_after: distinct executor deaths that turn a scenario
-            into a poison suspect (then confirmed by one isolated local
-            probe before quarantining).  Minimum 1.
-        degrade: with no live links (and reconnect exhausted/disabled),
-            finish the leftovers locally in isolated subprocesses instead
-            of raising; ``False`` restores fail-stop.
-        degrade_after: seconds to wait for a reconnect before degrading
-            (only meaningful with ``reconnect=True``).
-        chaos: optional :class:`~repro.runtime.backends.chaos.ChaosPolicy`
-            injecting faults into driver-to-worker frames (post-handshake).
     """
 
     name = "socket"
@@ -666,12 +373,6 @@ class SocketBackend(Backend):
         window: int = 2,
         require_all: bool = False,
         connect_retries: int = 2,
-        backoff: float = 0.5,
-        reconnect: bool = True,
-        quarantine_after: int = 2,
-        degrade: bool = True,
-        degrade_after: float = 5.0,
-        chaos: Optional[ChaosPolicy] = None,
     ) -> None:
         if not addresses:
             raise ValueError("socket backend needs at least one worker address")
@@ -685,30 +386,17 @@ class SocketBackend(Backend):
             raise ValueError(f"window must be >= 1, got {window}")
         if connect_retries < 0:
             raise ValueError(f"connect_retries must be >= 0, got {connect_retries}")
-        if backoff <= 0:
-            raise ValueError(f"backoff must be positive, got {backoff}")
-        if quarantine_after < 1:
-            raise ValueError(
-                f"quarantine_after must be >= 1, got {quarantine_after}"
-            )
         self.job_timeout = job_timeout
         self.ping_grace = ping_grace
         self.connect_timeout = connect_timeout
         self.window = window
         self.require_all = require_all
         self.connect_retries = connect_retries
-        self.backoff = backoff
-        self.reconnect = reconnect
-        self.quarantine_after = quarantine_after
-        self.degrade = degrade
-        self.degrade_after = degrade_after
-        self.chaos = chaos
         self.last_stats: Dict[str, Any] = {}
-        self._generation = itertools.count(1)
         #: Every link of the current/last submit (live view reads this;
         #: rebound to a fresh list per submit, so a stale reader sees a
         #: consistent snapshot of the previous campaign at worst).
-        self._all_links: List[_WorkerLink] = []
+        self._links: List[_WorkerLink] = []
 
     # -- connection setup ---------------------------------------------
 
@@ -769,26 +457,15 @@ class SocketBackend(Backend):
         return sock, rtt
 
     def _open_link(self, address: str) -> _WorkerLink:
-        """Connect + handshake + (optionally) chaos-wrap one worker into a
-        ready :class:`_WorkerLink`.  Thread-safe; used by both the initial
-        ``_connect_all`` and the background reconnector."""
-        telemetry = current()
+        """Connect + handshake one worker into a ready :class:`_WorkerLink`."""
         connect_start = time.perf_counter()
         sock, rtt = self._connect(address)
-        generation = next(self._generation)
-        metrics.set_gauge("socket.reconnect_generation", generation)
-        ident = f"{address}#g{generation}"
-        wrapped: Any = sock
-        if self.chaos is not None:
-            # Wrapped only after the handshake: chaos may destroy sessions,
-            # never make the version check flaky (mirrors the worker side).
-            wrapped = self.chaos.wrap(sock, label=f"driver->{ident}")
-        link = _WorkerLink(address, wrapped, ident=ident)
+        link = _WorkerLink(address, sock)
         link.connect_s = time.perf_counter() - connect_start
         if rtt is not None:
             link.ping_rtts.append(rtt)
-        telemetry.event(
-            "socket.connect", worker=address, ident=ident,
+        current().event(
+            "socket.connect", worker=address,
             dur_s=round(link.connect_s, 6),
             rtt_s=round(rtt, 6) if rtt is not None else None,
         )
@@ -800,7 +477,7 @@ class SocketBackend(Backend):
         Retries are spent only while they can change the outcome: while
         zero workers are connected (a campaign cannot start), or while
         any worker is missing under ``require_all``.  Addresses still
-        down when a quorum exists are left to the background reconnector.
+        down when a quorum exists sit this campaign out.
         """
         telemetry = current()
         links: List[_WorkerLink] = []
@@ -823,7 +500,7 @@ class SocketBackend(Backend):
                 break
             attempt += 1
             delay = _jittered(
-                min(self.backoff * (2 ** (attempt - 1)), _MAX_BACKOFF_S)
+                min(_BACKOFF_S * (2 ** (attempt - 1)), _MAX_BACKOFF_S)
             )
             _log.warning(kv("connect-retry", attempt=attempt,
                             waiting=",".join(waiting),
@@ -849,42 +526,28 @@ class SocketBackend(Backend):
     def submit(self, pending: List[Job]) -> Iterator[JobResult]:
         """Shard, stream, requeue, dedup; yields one result per key.
 
-        Failure handling, in escalation order: a dead link's jobs are
-        requeued onto survivors; a down address is redialed in the
-        background and rejoins mid-run; a scenario with
-        ``quarantine_after`` distinct executor deaths is probed in an
-        isolated subprocess and quarantined if the probe also crashes;
-        an empty fleet (past the reconnect grace) degrades to isolated
-        local execution.  The campaign always yields exactly one row per
-        key -- possibly a structured quarantine failure row.  The state
+        A dead link's jobs are requeued onto the survivors.  The state
         and its event handlers live in :class:`_Submission`.
+
+        Raises:
+            BackendError: no worker is reachable, or the last live worker
+                died with scenarios unfinished.
         """
         if not pending:
             return
         links, unreachable = self._connect_all()
         run = _Submission(self, pending, links, unreachable)
         self.last_stats = run.stats
-        self._all_links = run.all_links
-        handlers = {
-            "result": run.on_result,
-            "dead": run.on_dead,
-            "joined": run.on_joined,
-            "probed": run.on_probed,
-        }
+        self._links = run.links
         try:
             for link in links:
                 run.start_driver(link)
-            if self.reconnect:
-                run.reconnector = _Reconnector(self, run.events)
-                for address in unreachable:
-                    run.reconnector.mark_down(address)
-                run.reconnector.start()
             while run.remaining:
-                yield from run.degrade()
-                event = run.next_event() if run.remaining else None
-                if event is not None:
-                    kind, link, payload = event
-                    yield from handlers[kind](link, payload)
+                kind, link, payload = run.events.get()
+                if kind == "result":
+                    yield from run.on_result(link, payload)
+                else:
+                    run.on_dead(link, payload)
         finally:
             run.close()
 
@@ -898,24 +561,12 @@ class SocketBackend(Backend):
                          f"({', '.join(stats['unreachable'])})")
         if stats["lost"]:
             parts.append(f"{stats['lost']} lost mid-campaign")
-        if stats["reconnects"]:
-            parts.append(f"{stats['reconnects']} reconnect(s)")
         if stats["requeued"]:
             parts.append(f"{stats['requeued']} scenario(s) requeued")
         if stats["resends"]:
             parts.append(f"{stats['resends']} job resend(s)")
-        if stats["quarantined"]:
-            parts.append(f"{stats['quarantined']} scenario(s) quarantined")
-        if stats["degraded"]:
-            parts.append("degraded to local isolated execution")
         if stats["duplicates"]:
             parts.append(f"{stats['duplicates']} duplicate result(s) dropped")
-        if stats.get("chaos"):
-            injected = ",".join(
-                f"{action}={count}"
-                for action, count in sorted(stats["chaos"].items())
-            )
-            parts.append(f"chaos injected {injected}")
         completed = ", ".join(
             f"{addr}={count}" for addr, count in stats["per_worker"].items()
         )
@@ -941,13 +592,13 @@ class SocketBackend(Backend):
         are slightly stale but never torn.
         """
         rows: List[Dict[str, Any]] = []
-        for link in list(self._all_links):
+        for link in list(self._links):
             report = link.worker_metrics or {}
             rtts = link.ping_rtts
             done = report.get("done")
             up_s = report.get("up_s") or 0.0
             rows.append({
-                "worker": link.ident,
+                "worker": link.address,
                 "inflight": link.inflight_jobs,
                 "window": self.window,
                 "rtt_ms": round(rtts[-1] * 1e3, 2) if rtts else None,
@@ -1191,82 +842,6 @@ class SocketBackend(Backend):
             send_frame(link.sock, {"type": "bye"})
         except OSError:
             pass
-
-    # -- isolated local execution (probe + degradation) ----------------
-
-    def _probe(self, job: Job, events: "queue.Queue[_Event]") -> None:
-        """Probe-thread body: run one poison suspect isolated and post
-        its outcome for the submit thread to settle."""
-        [(_, outcome)] = self._run_isolated([job])
-        events.put(("probed", None, (job, outcome)))
-
-    def _run_isolated(self, jobs: List[Job]) -> Iterator[_Outcome]:
-        """Execute ``jobs`` in order in one fresh ``spawn`` subprocess.
-
-        Yields ``(key, (ok, row))`` for each job the child finishes.  If
-        the child dies, or makes no progress for ``job_timeout`` plus a
-        spawn grace, it yields ``(key, None)`` for the first job it did
-        not finish -- the culprit -- and stops.  Isolation is the point:
-        a poison job kills only the child, and an innocent job that sat
-        on repeatedly-dying workers produces its real row here.  The
-        runner only reports; callers decide what a crash means.
-
-        The channel is a ``Pipe``, not a ``Queue``, deliberately: queue
-        puts go through a feeder thread whose buffered items die with an
-        ``os._exit``, so results the child *did* produce before hitting a
-        poison job would vanish and the culprit would drift onto an
-        innocent neighbour.  Pipe sends are synchronous writes -- every
-        ``start``/``done`` marker received is exact.
-        """
-        ctx = multiprocessing.get_context("spawn")
-        receiver, sender = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_isolated_executor, args=(sender, jobs), daemon=True,
-        )
-        proc.start()
-        sender.close()  # child holds the only writer: EOF means it died
-        stall_guard = self.job_timeout + _SPAWN_GRACE_S
-        last_progress = time.monotonic()
-        done = 0
-        try:
-            while done < len(jobs):
-                if receiver.poll(0.25):
-                    try:
-                        message = receiver.recv()
-                    except EOFError:
-                        break
-                    last_progress = time.monotonic()
-                    if message[0] == "done":
-                        _, index, key, ok, row = message
-                        done = index + 1
-                        yield key, (ok, row)
-                    continue  # a "start" marker only proves progress
-                if not proc.is_alive():
-                    break
-                if time.monotonic() - last_progress >= stall_guard:
-                    proc.terminate()
-                    break
-            if done < len(jobs):
-                yield jobs[done][0], None
-        finally:
-            receiver.close()
-            proc.join(timeout=5.0)
-
-
-def _isolated_executor(conn: Any, jobs: List[Job]) -> None:
-    """Child entry point for probe/degradation subprocesses.
-
-    Executes ``jobs`` serially through the same :func:`execute_job` the
-    fleet uses (rows stay byte-identical), announcing each job before
-    touching it and streaming each outcome back over the pipe.  The
-    ``start`` marker is what lets the parent blame the exact job a crash
-    landed on.  Module-level so a ``spawn`` context can pickle it.
-    """
-    for index, job in enumerate(jobs):
-        conn.send(("start", index, job[0]))
-        key, ok, row = execute_job(job)
-        conn.send(("done", index, key, ok, row))
-    conn.close()
 
 
 def _jittered(delay: float) -> float:

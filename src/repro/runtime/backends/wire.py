@@ -113,8 +113,8 @@ def send_frame(sock: socket.socket, doc: Dict[str, Any]) -> None:
     body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(f"frame of {len(body)} bytes exceeds cap")
-    # One sendall per frame: fault-injection wrappers (see chaos.py)
-    # count on header+body crossing the chaos point as a single unit.
+    # One sendall per frame: both ends set TCP_NODELAY, so a separate
+    # header write would leave as a segment of its own.
     sock.sendall(_HEADER.pack(len(body), zlib.crc32(body)) + body)
 
 

@@ -21,11 +21,7 @@ Failure injection: ``die_after_jobs=N`` makes the worker drop the
 connection -- and stop serving -- the moment it receives job frame
 ``N + 1``, without replying (so the driver requeues everything in
 flight).  Tests and the CI ``backend-smoke`` job use it to prove that
-campaigns survive a worker dying mid-run.  For probabilistic faults,
-``chaos=ChaosPolicy(...)`` (CLI ``--chaos SPEC``) wraps each accepted
-connection in a :class:`~repro.runtime.backends.chaos.ChaosSocket` that
-perturbs worker-to-driver frames -- armed only after the handshake, so
-session establishment stays deterministic.
+campaigns survive a worker dying mid-run.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ from ...analysis.watchdog import traced_lock
 from ...obs.logsetup import configure_logging, kv
 from ..scenario import ScenarioSpec
 from .base import execute_job, timed_execute_job
-from .chaos import ChaosPolicy, ChaosSocket
 from .wire import (
     PROTOCOL_VERSION,
     WireError,
@@ -65,8 +60,6 @@ class WorkerServer:
         port: port to bind; ``0`` picks a free port (see :attr:`port`).
         die_after_jobs: failure injection -- accept this many job
             frames, then drop dead without replying (``None`` disables).
-        chaos: optional :class:`ChaosPolicy` applied to every accepted
-            connection's outbound frames (armed post-handshake).
         log: optional ``print``-like callable for one-line status output.
     """
 
@@ -84,13 +77,11 @@ class WorkerServer:
         host: str = "127.0.0.1",
         port: int = 0,
         die_after_jobs: Optional[int] = None,
-        chaos: Optional[ChaosPolicy] = None,
         log: Optional[Any] = None,
     ) -> None:
         self.host = host
         self.port = port
         self.die_after_jobs = die_after_jobs
-        self.chaos = chaos
         self.log = log or (lambda *_: None)
         self.jobs_done = 0
         self.sessions = 0
@@ -133,8 +124,7 @@ class WorkerServer:
         self.log(f"worker listening on {self.host}:{self.port}")
         _log.info(kv("serving", host=self.host, port=self.port,
                      protocol=PROTOCOL_VERSION,
-                     die_after_jobs=self.die_after_jobs,
-                     chaos=self.chaos.describe() if self.chaos else None))
+                     die_after_jobs=self.die_after_jobs))
         return self.host, self.port
 
     def serve_forever(self) -> None:
@@ -219,7 +209,7 @@ class WorkerServer:
                 continue
             if self._stopping.is_set():
                 # A connection that raced stop(): refuse it, so a driver
-                # redialing a worker that just injected its death cannot
+                # dialing a worker that just injected its death cannot
                 # get a fresh session from the "corpse".
                 try:
                     conn.close()
@@ -241,7 +231,6 @@ class WorkerServer:
         if refused:
             conn.close()
             return
-        registered = conn  # the registry key; conn may become a wrapper
         _enable_keepalive(conn)
         try:
             # Result frames are small: with Nagle on, a frame waits for the
@@ -251,12 +240,6 @@ class WorkerServer:
         except OSError:
             pass  # latency tuning only: the session works without it
         peer_name = f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) else str(peer)
-        if self.chaos is not None:
-            # Disarmed through the handshake: chaos may destroy sessions,
-            # never prevent them from being judged (version check first).
-            conn = self.chaos.wrap(
-                conn, label=f"worker:{self.port}->{peer_name}", armed=False,
-            )
         session_start = time.perf_counter()
         session_jobs = 0
         _log.info(kv("accept", peer=peer_name, session=self.sessions))
@@ -268,8 +251,6 @@ class WorkerServer:
             if not self._handshake(conn, send_lock, peer_name):
                 return
             conn.settimeout(None)  # drivers go quiet while we execute
-            if isinstance(conn, ChaosSocket):
-                conn.arm()
             while True:
                 doc = recv_frame(conn)
                 if doc is None or doc["type"] == "bye":
@@ -306,11 +287,9 @@ class WorkerServer:
         finally:
             jobs.put(None)
             with self._lock:
-                self._sessions.pop(registered, None)
-            injected = conn.counts if isinstance(conn, ChaosSocket) else None
+                self._sessions.pop(conn, None)
             _log.info(kv("disconnect", peer=peer_name, jobs=session_jobs,
-                         dur_s=round(time.perf_counter() - session_start, 6),
-                         chaos=injected or None))
+                         dur_s=round(time.perf_counter() - session_start, 6)))
             try:
                 conn.close()
             except OSError:
@@ -445,8 +424,7 @@ class WorkerServer:
 
 
 def serve(address: str, die_after_jobs: Optional[int] = None,
-          log_level: str = "info",
-          chaos: Optional[ChaosPolicy] = None) -> int:
+          log_level: str = "info") -> int:
     """CLI entry: serve on ``HOST:PORT`` until interrupted (or dead).
 
     Structured log lines (accept/handshake/disconnect/die-after-jobs) go
@@ -458,8 +436,7 @@ def serve(address: str, die_after_jobs: Optional[int] = None,
     configure_logging(log_level)
     host, port = parse_address(address)
     server = WorkerServer(host=host, port=port,
-                          die_after_jobs=die_after_jobs, chaos=chaos,
-                          log=_log_flush)
+                          die_after_jobs=die_after_jobs, log=_log_flush)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

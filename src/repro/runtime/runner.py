@@ -50,10 +50,6 @@ class CampaignStats:
     cached: int = 0
     failed: int = 0
     deduplicated: int = 0
-    #: Subset of ``failed`` that the backend quarantined as poison
-    #: (structured rows carrying a ``quarantine`` block; see
-    #: :func:`repro.runtime.backends.base.quarantine_row`).
-    quarantined: int = 0
 
 
 @dataclass
@@ -205,9 +201,6 @@ class CampaignRunner:
                         else:
                             stats.failed += 1
                             metrics.inc("campaign.failed")
-                            if "quarantine" in row:
-                                stats.quarantined += 1
-                                metrics.inc("campaign.quarantined")
                 finally:
                     if reporter is not None:
                         reporter.stop()
@@ -223,7 +216,6 @@ class CampaignRunner:
                         executed=stats.executed, cached=stats.cached,
                         failed=stats.failed,
                         deduplicated=stats.deduplicated,
-                        quarantined=stats.quarantined,
                         backend=backend.name)
 
         rows = [results[key] for key, _ in keyed]

@@ -270,7 +270,7 @@ class TestSpecWireRoundTrip:
 
 class TestBackendEquivalence:
     """Requeue/death/error equivalence paths.  The full byte-identity
-    matrix (backends x pipeline windows x chaos modes) lives in
+    matrix (backends x pipeline windows, worker death) lives in
     ``test_equivalence_matrix.py``."""
 
     def test_worker_death_mid_campaign_requeues_and_matches(self):
@@ -315,22 +315,114 @@ class TestBackendEquivalence:
             for server in (healthy, *doomed):
                 server.stop()
 
-    def test_all_workers_dead_aborts(self):
-        # With reconnect and degradation disabled, losing the whole fleet
-        # is fail-stop: the campaign aborts instead of limping along.
-        doomed = WorkerServer(die_after_jobs=0)
-        doomed.start()
-        try:
-            backend = SocketBackend(
-                [doomed.address], job_timeout=5.0, ping_grace=1.0,
-                reconnect=False, degrade=False,
-            )
-            with pytest.raises(BackendError, match="died"):
-                CampaignRunner(backend=backend).run(
-                    [ScenarioSpec(n=5, t=1, f=1, seed=s) for s in range(4)]
+    def test_all_workers_dead_aborts(self, tmp_path):
+        # Losing the whole fleet stops the campaign, and the store keeps
+        # every row that finished first, so a rerun resumes from there.
+        specs = GRID_30.expand()[:8]
+        serial = CampaignRunner(backend=SerialBackend()).run(specs).rows
+        serial_by_key = {spec.scenario_hash(): row
+                         for spec, row in zip(specs, serial)}
+        with ResultStore(tmp_path / "resume.jsonl") as store:
+            doomed = WorkerServer(die_after_jobs=3)
+            doomed.start()
+            try:
+                backend = SocketBackend(
+                    [doomed.address], job_timeout=5.0, ping_grace=1.0,
                 )
+                with pytest.raises(BackendError, match="died"):
+                    CampaignRunner(store=store, backend=backend).run(specs)
+            finally:
+                doomed.stop()
+            stored = len(store)
+            assert 0 < stored < len(specs)
+            assert all(row == serial_by_key[key] for key, row in store.items())
+            healthy = WorkerServer()
+            healthy.start()
+            try:
+                rerun = CampaignRunner(
+                    store=store, backend=SocketBackend([healthy.address]),
+                ).run(specs)
+            finally:
+                healthy.stop()
+        assert rerun.stats.executed == len(specs) - stored
+        assert rerun.stats.cached == stored
+        assert rerun.rows == serial
+
+    def test_silent_worker_dies_after_one_ping(self):
+        # A scripted worker completes the handshake and the calibration
+        # ping, then swallows every frame.  Its jobs outlast job_timeout,
+        # the heartbeat ping goes unanswered, and the link is declared
+        # dead; its jobs finish on the real worker.
+        specs = GRID_30.expand()[:8]
+        listener = socket_module.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        silent_address = "127.0.0.1:%d" % listener.getsockname()[1]
+        assert any(_shard(spec.scenario_hash(), 2) == 0 for spec in specs)
+        swallowed = []
+
+        def swallow():
+            conn, _ = listener.accept()
+            try:
+                assert recv_frame(conn)["type"] == "hello"
+                send_frame(conn, {"type": "welcome",
+                                  "protocol": PROTOCOL_VERSION,
+                                  "worker_pid": 1})
+                assert recv_frame(conn)["type"] == "ping"
+                send_frame(conn, {"type": "pong"})
+                while True:
+                    doc = recv_frame(conn)
+                    if doc is None:
+                        return
+                    swallowed.append(doc["type"])
+            finally:
+                conn.close()
+
+        thread = threading.Thread(target=swallow, daemon=True)
+        thread.start()
+        real = WorkerServer()
+        real.start()
+        try:
+            backend = SocketBackend([silent_address, real.address],
+                                    job_timeout=0.5, ping_grace=0.5)
+            result = CampaignRunner(backend=backend).run(specs)
         finally:
-            doomed.stop()
+            real.stop()
+            listener.close()
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert result.rows == CampaignRunner().run(specs).rows
+        assert backend.last_stats["lost"] == 1
+        assert "job" in swallowed
+        assert swallowed.count("ping") == 1
+
+    def test_stale_job_is_resent_and_the_late_duplicate_dropped(self):
+        # The worker's first job outlasts job_timeout while its reader
+        # keeps answering pings: the driver resends the job, both copies
+        # execute, and the answer that arrives second is dropped.
+        class SlowFirstJob(WorkerServer):
+            slept = False
+
+            def _run_job(self, doc, telemetry):
+                if not self.slept:
+                    self.slept = True
+                    time.sleep(0.8)
+                return super()._run_job(doc, telemetry)
+
+        specs = GRID_30.expand()[:4]
+        server = SlowFirstJob()
+        server.start()
+        try:
+            backend = SocketBackend([server.address], window=1,
+                                    job_timeout=0.4, ping_grace=2.0)
+            result = CampaignRunner(backend=backend).run(specs)
+        finally:
+            server.stop()
+        assert backend.last_stats["resends"] >= 1
+        assert server.jobs_done > len(specs)
+        assert result.stats.executed == len(specs)
+        assert len({row["scenario"] for row in result.rows}) == len(specs)
+        assert result.rows == CampaignRunner().run(specs).rows
 
     def test_socket_results_feed_the_store_cache(self, worker_pair, tmp_path):
         specs = GRID_30.expand()[:6]
@@ -607,6 +699,41 @@ class TestSocketBackendSetup:
             SocketBackend(["h:1"], window=0)
 
 
+class TestCalibrationPing:
+    def test_non_pong_frames_are_tolerated_and_logged(self):
+        # An over-eager peer streaming frames before answering the
+        # calibration ping must not kill the session or mistime the RTT.
+        listener = socket_module.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        address = "127.0.0.1:%d" % listener.getsockname()[1]
+
+        def serve_once():
+            conn, _ = listener.accept()
+            try:
+                assert recv_frame(conn)["type"] == "hello"
+                send_frame(conn, {"type": "welcome",
+                                  "protocol": PROTOCOL_VERSION,
+                                  "worker_pid": 1})
+                assert recv_frame(conn)["type"] == "ping"
+                send_frame(conn, {"type": "status", "note": "over-eager"})
+                send_frame(conn, {"type": "pong"})
+                recv_frame(conn)  # wait for the driver to hang up
+            finally:
+                conn.close()
+
+        thread = threading.Thread(target=serve_once, daemon=True)
+        thread.start()
+        backend = SocketBackend([address])
+        try:
+            sock, rtt = backend._connect(address)
+            assert rtt is not None and rtt > 0
+            sock.close()
+        finally:
+            listener.close()
+            thread.join(timeout=5.0)
+
+
 class TestMakeBackend:
     def test_auto_resolution(self):
         assert isinstance(make_backend(workers=1), SerialBackend)
@@ -624,13 +751,13 @@ class TestMakeBackend:
 
     def test_resilience_knobs_reach_the_socket_backend(self):
         backend = make_backend(
-            connect=["127.0.0.1:7501"], require_all=True,
-            connect_retries=5, backoff=0.25,
+            connect=["127.0.0.1:7501"], job_timeout=30.0, require_all=True,
+            connect_retries=5,
         )
         assert isinstance(backend, SocketBackend)
+        assert backend.job_timeout == 30.0
         assert backend.require_all is True
         assert backend.connect_retries == 5
-        assert backend.backoff == 0.25
 
     def test_worker_count_below_one_is_refused(self):
         # Not silently rounded up to a 2-process pool.

@@ -1,26 +1,26 @@
 """The backend-equivalence matrix: one parametrized byte-identity harness.
 
-Every cell of ``{serial, pool, socket} x chaos {off, driver-side,
-worker-side}`` must produce rows byte-identical to the serial baseline
-on the 30-scenario grid, at every pipeline depth -- including when
-a worker dies with its whole window in flight.  Rows are pure functions
-of their scenario specs, so *no* transport, pipelining, fault, or
-recovery decision is allowed to change a single byte.
+Every cell of ``{serial, pool, socket}`` must produce rows byte-identical
+to the serial baseline on the 30-scenario grid, at every pipeline depth
+-- including when a worker dies with its whole window in flight.  Rows
+are pure functions of their scenario specs, so *no* transport,
+pipelining, or recovery decision is allowed to change a single byte.
 
 This file supersedes the ad-hoc equivalence tests that used to live in
 ``test_backends.py`` (serial/pool/socket identity, Experiment-front-door
-identity) and ``test_chaos.py`` (driver-/worker-side chaos identity):
-one matrix, every axis, same assertion.
+identity): one matrix, every axis, same assertion.
 """
 
 import json
+import threading
 
 import pytest
 
 from repro.api import Experiment
+from repro.obs import Telemetry
+from repro.obs.stats import resilience_summary
 from repro.runtime import (
     CampaignRunner,
-    ChaosPolicy,
     ScenarioGrid,
     SerialBackend,
     PoolBackend,
@@ -36,16 +36,8 @@ GRID_30 = ScenarioGrid(
 
 #: Pipeline windows (jobs in flight per worker): no pipelining, a
 #: partial window, and one deeper than any worker's share of the grid
-#: (every job is in flight at once, so a reset or a death hits all of
-#: them).
+#: (every job is in flight at once, so a death hits all of them).
 WINDOWS = (1, 8, 64)
-
-#: Chaos axis.  ``driver`` injects faults on the driver's sockets (drop
-#: starves jobs into the resend path, reset tears links into reconnect,
-#: delay shakes interleaving); ``worker`` corrupts frames the worker
-#: sends back (checksum refuses them, the session drops, the in-flight
-#: jobs re-run).
-CHAOS_MODES = ("off", "driver", "worker")
 
 
 def sorted_rows_blob(rows):
@@ -54,17 +46,10 @@ def sorted_rows_blob(rows):
     return json.dumps(ordered, sort_keys=True).encode("utf-8")
 
 
-def driver_chaos(mode):
-    if mode != "driver":
-        return None
-    return ChaosPolicy(drop=0.08, delay=0.2, delay_s=0.05, reset=0.05,
-                       seed=7)
-
-
-def worker_chaos(mode):
-    if mode != "worker":
-        return None
-    return ChaosPolicy(corrupt=0.08, delay=0.2, delay_s=0.05, seed=3)
+def socket_threads():
+    """Names of the live socket-driver threads (``socket-*``)."""
+    return [thread.name for thread in threading.enumerate()
+            if thread.name.startswith("socket-")]
 
 
 @pytest.fixture(scope="module")
@@ -73,15 +58,10 @@ def baseline():
     return CampaignRunner(backend=SerialBackend()).run(GRID_30).rows
 
 
-def socket_backend(addresses, window, mode):
-    """The matrix's socket backend: resilience timeouts tightened so
-    chaos recovery converges quickly."""
-    return SocketBackend(
-        addresses,
-        job_timeout=1.5 if mode != "off" else 60.0,
-        ping_grace=2.0, backoff=0.05, degrade_after=30.0,
-        window=window, chaos=driver_chaos(mode),
-    )
+def socket_backend(addresses, window):
+    """The matrix's socket backend at one pipeline window."""
+    return SocketBackend(addresses, job_timeout=60.0, ping_grace=2.0,
+                         window=window)
 
 
 class TestEquivalenceMatrix:
@@ -91,29 +71,25 @@ class TestEquivalenceMatrix:
         assert sorted_rows_blob(result.rows) == sorted_rows_blob(baseline)
 
     @pytest.mark.parametrize("window", WINDOWS)
-    @pytest.mark.parametrize("mode", CHAOS_MODES)
-    def test_socket_matches_serial(self, baseline, window, mode):
-        policy = worker_chaos(mode)
-        servers = [WorkerServer(chaos=policy), WorkerServer(chaos=policy)]
+    def test_socket_matches_serial(self, baseline, window):
+        servers = [WorkerServer(), WorkerServer()]
         for server in servers:
             server.start()
         try:
             backend = socket_backend(
-                [server.address for server in servers], window, mode
+                [server.address for server in servers], window
             )
             result = CampaignRunner(backend=backend).run(GRID_30)
+            assert socket_threads() == []
             assert result.rows == baseline
             assert sorted_rows_blob(result.rows) == sorted_rows_blob(baseline)
             assert result.stats.executed == 30
-            assert backend.last_stats["quarantined"] == 0
-            assert backend.last_stats["degraded"] is False
-            if mode == "off":
-                # Without faults there are no requeues, so completions
-                # must land exactly once and hash-sharding must spread
-                # work over both workers.
-                per_worker = backend.last_stats["per_worker"].values()
-                assert all(count > 0 for count in per_worker)
-                assert sum(per_worker) == 30
+            # Without faults there are no requeues, so completions must
+            # land exactly once and hash-sharding must spread work over
+            # both workers.
+            per_worker = backend.last_stats["per_worker"].values()
+            assert all(count > 0 for count in per_worker)
+            assert sum(per_worker) == 30
         finally:
             for server in servers:
                 server.stop()
@@ -128,15 +104,20 @@ class TestEquivalenceMatrix:
         doomed = WorkerServer(die_after_jobs=3)
         healthy.start()
         doomed.start()
+        telemetry = Telemetry()
         try:
-            backend = socket_backend(
-                [healthy.address, doomed.address], window, "off"
-            )
-            result = CampaignRunner(backend=backend).run(GRID_30)
+            backend = socket_backend([healthy.address, doomed.address], window)
+            result = CampaignRunner(backend=backend,
+                                    telemetry=telemetry).run(GRID_30)
+            assert socket_threads() == []
             assert result.rows == baseline
             assert result.stats.executed == 30
             assert backend.last_stats["lost"] == 1
             assert backend.last_stats["requeued"] > 0
+            recovered = resilience_summary(telemetry.rows)
+            assert {"worker death", "requeue"} <= {
+                row["event"] for row in recovered
+            }
         finally:
             healthy.stop()
             doomed.stop()
@@ -189,7 +170,7 @@ class TestObservabilityEquivalence:
             server.start()
         try:
             backend = socket_backend(
-                [server.address for server in servers], 8, "off"
+                [server.address for server in servers], 8
             )
             result = self._run_live(backend)
             assert sorted_rows_blob(result.rows) == sorted_rows_blob(baseline)

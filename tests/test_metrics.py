@@ -216,7 +216,7 @@ class TestLiveReporter:
     def test_worker_cells_from_backend(self):
         class FakeBackend:
             def live_workers(self):
-                return [{"worker": "w1#g1", "inflight": 3, "window": 2,
+                return [{"worker": "127.0.0.1:7501", "inflight": 3, "window": 2,
                          "queue": 1, "exec/s": 12.5, "rtt_ms": 0.4,
                          "done": 9, "completed": 9}]
 
@@ -225,16 +225,16 @@ class TestLiveReporter:
             reporter = LiveReporter(
                 10, backend=FakeBackend(), stream=io.StringIO())
             line = reporter.compose()
-        assert "w1#g1:3/w2" in line
+        assert "127.0.0.1:7501:3/w2" in line
         assert "q1" in line
         assert "12.5/s" in line
 
     def test_render_worker_table(self):
         table = render_worker_table([
-            {"worker": "a#g1", "inflight": 1, "window": 2, "rtt_ms": 0.5,
+            {"worker": "127.0.0.1:7502", "inflight": 1, "window": 2, "rtt_ms": 0.5,
              "queue": 0, "done": 4, "exec/s": 8.0, "completed": 4},
         ])
-        assert "a#g1" in table
+        assert "127.0.0.1:7502" in table
         assert render_worker_table([]) == "live: no workers"
 
     def test_reporter_never_raises_out_of_render(self):

@@ -391,11 +391,8 @@ class TestWorkerLogging:
             server.start()
             address = f"{server.host}:{server.port}"
             try:
-                # Fail-stop configuration: with the default reconnect +
-                # degradation the campaign would complete instead.
                 backend = SocketBackend(
                     [address], job_timeout=2.0, ping_grace=1.0,
-                    reconnect=False, degrade=False,
                 )
                 with pytest.raises(Exception):
                     CampaignRunner(backend=backend).run(GRID_SMALL)

@@ -22,6 +22,7 @@ from repro.crypto.keys import canonical_encode
 from repro.net.message import Envelope, by_tag
 from repro.net.metrics import MetricsCollector, payload_bits
 from repro.perf import MISS, CacheStats, IdentityMemo, cache_report
+from repro.runtime import ScenarioSpec, execute_spec
 
 T = 2
 N = 8
@@ -151,6 +152,16 @@ class TestChainCache:
         assert inspect_chain(chain, T, ks_b) is None
         # And the verdict under ks_a is unaffected by ks_b's lookup.
         assert inspect_chain(chain, T, ks_a) is not None
+
+    def test_split_adversary_chains_hit_the_memo(self):
+        # The split adversary's faulty chains reach recipients outside
+        # the shared honest read, so one chain object is inspected by
+        # several recipients and the memo answers the repeats.
+        row = execute_spec(
+            ScenarioSpec(n=7, t=2, f=2, mode="authenticated", adversary="split"),
+            collect_perf=True,
+        )
+        assert row["perf"]["inspect_chain"]["hits"] > 0
 
 
 class TestCertificateCache:

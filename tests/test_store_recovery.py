@@ -1,8 +1,9 @@
 """Store crash-recovery tests: torn appends, interrupted compaction,
 and stale-lock reclaim races.
 
-The store is the resumability layer, so its failure modes are the ones a
-chaos campaign actually produces: a driver killed mid-append leaves a
+The store is the resumability layer: a campaign whose last worker dies
+stops, and its rerun resumes from the store.  Its own failure modes are
+what a crashed campaign leaves behind: a driver killed mid-append leaves a
 torn final line; a crash during ``compact`` must never replace a good
 file with a partial one; a crashed writer's lockfile must be reclaimable
 without opening a two-writer race.  Every test here states the crash as
