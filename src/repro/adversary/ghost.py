@@ -13,11 +13,12 @@ internally with the same one-round latency as the real network.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Set
 
 from ..net.adversary import AdversaryWorld
 from ..net.context import ProcessContext
 from ..net.message import Broadcast, Envelope
+from ..net.protocol import Idle
 
 Factory = Callable[[ProcessContext], Generator]
 
@@ -46,7 +47,10 @@ class GhostRunner:
         if factory is None and builder is None:
             raise ValueError("GhostRunner needs a protocol factory")
         self._generators: Dict[int, Generator] = {}
-        self._finished: Dict[int, bool] = {}
+        self._finished: Set[int] = set()
+        #: Steps taken so far, and each idling ghost's wake step.
+        self._steps = 0
+        self._wake: Dict[int, int] = {}
         self._internal_queue: List[Envelope] = []
         for pid in self.pids:
             ctx = ProcessContext(
@@ -61,7 +65,6 @@ class GhostRunner:
             else:
                 generator = factory(ctx)
             self._generators[pid] = generator
-            self._finished[pid] = False
 
     def start(self) -> List[Envelope]:
         """Round-1 outgoing of every ghost."""
@@ -74,9 +77,15 @@ class GhostRunner:
         """Feed last round's inbox (external + internal) and collect sends.
 
         One pass bins the round's envelopes by recipient, each ghost's
-        bin in delivery order: external first, then internal.
+        bin in delivery order: external first, then internal.  A ghost
+        that yielded ``Idle(m)`` is skipped for ``m - 1`` steps and then
+        resumed with ``None``, as the engine does with honest processes.
         """
-        delivered: Dict[int, List[Envelope]] = {pid: [] for pid in self.pids}
+        self._steps += 1
+        listening = [pid for pid in self.pids if pid not in self._finished
+                     and self._wake.get(pid, 0) <= self._steps]
+        delivered: Dict[int, List[Envelope]] = {
+            pid: [] for pid in listening if pid not in self._wake}
         for inbox in (external_inbox, self._internal_queue):
             for env in inbox:
                 bin_ = delivered.get(env.recipient)
@@ -84,10 +93,9 @@ class GhostRunner:
                     bin_.append(env)
         self._internal_queue = []
         outgoing: List[Envelope] = []
-        for pid in self.pids:
-            if self._finished[pid]:
-                continue
-            outgoing.extend(self._advance(pid, delivered[pid]))
+        for pid in listening:
+            self._wake.pop(pid, None)
+            outgoing.extend(self._advance(pid, delivered.get(pid)))
         return self._split_internal(outgoing)
 
     def _advance(self, pid: int, inbox: Optional[List[Envelope]]) -> List[Envelope]:
@@ -96,7 +104,10 @@ class GhostRunner:
         try:
             produced = self._generators[pid].send(inbox) or []
         except StopIteration:
-            self._finished[pid] = True
+            self._finished.add(pid)
+            return []
+        if type(produced) is Idle:
+            self._wake[pid] = self._steps + produced.rounds
             return []
         outgoing: List[Envelope] = []
         for item in produced:

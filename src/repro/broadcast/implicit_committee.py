@@ -25,7 +25,7 @@ from ..crypto.certificates import is_committee_certificate
 from ..crypto.chains import extend_chain, inspect_chain, start_chain
 from ..crypto.keys import KeyStore
 from ..net.context import ProcessContext
-from ..net.message import Envelope, Pairs, reduce_by_tag
+from ..net.message import Envelope, Pairs, reduce_by_tag, tags_of
 from ..util import is_hashable
 
 DEFAULT = ("bb-default",)  # the paper's "bot" output
@@ -90,8 +90,11 @@ def bb_instances(
         inbox = yield outgoing
         outgoing = []
         relay = certified and length <= k
+        # Most instances' senders start no chain: read only the instances
+        # with traffic (``_valid_chains([])`` is ``[]``).
+        held = tags_of(inbox)
         for (tag, sender), seen in zip(instances, accepted):
-            if len(seen) >= 2:
+            if len(seen) >= 2 or (held is not None and tag not in held):
                 continue
             received = reduce_by_tag(
                 inbox, tag, _valid_chains, sender, length, ctx.t, keystore

@@ -15,6 +15,7 @@ from .message import (
 from .metrics import MetricsCollector, payload_bits
 from .trace import RoundRecord, Tracer, render_trace
 from .protocol import (
+    Idle,
     SimulationTimeout,
     idle,
     run_exactly,
@@ -27,6 +28,7 @@ __all__ = [
     "Broadcast",
     "Envelope",
     "ExecutionResult",
+    "Idle",
     "MetricsCollector",
     "Network",
     "ProcessContext",

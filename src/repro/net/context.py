@@ -6,15 +6,17 @@ communicates with the round engine through its yield points::
 
     inbox = yield outgoing
 
-Each ``yield`` corresponds to exactly one synchronous round: the process
-transmits ``outgoing``, a list of :class:`~repro.net.message.Envelope`
-(point-to-point, from :meth:`ProcessContext.send`) and
-:class:`~repro.net.message.Broadcast` (to every process, from
-:meth:`ProcessContext.broadcast`) objects, and receives ``inbox``, the
-messages addressed to it in the same round, as envelopes.  Read the inbox
-with :func:`~repro.net.message.by_tag` or
-:func:`~repro.net.message.by_tag_all`.  The generator's return value is
-the protocol's output for this process.
+Each ``yield`` of a send list corresponds to exactly one synchronous
+round: the process transmits ``outgoing``, a list of
+:class:`~repro.net.message.Envelope` (point-to-point, from
+:meth:`ProcessContext.send`) and :class:`~repro.net.message.Broadcast` (to
+every process, from :meth:`ProcessContext.broadcast`) objects, and
+receives ``inbox``, the messages addressed to it in the same round, as
+envelopes.  Read the inbox with :func:`~repro.net.message.by_tag` or
+:func:`~repro.net.message.by_tag_all`.  ``yield Idle(k)`` (see
+:class:`~repro.net.protocol.Idle`) instead spends ``k`` rounds sending
+nothing and reading nothing, and is resumed with ``None``.  The
+generator's return value is the protocol's output for this process.
 
 Sub-protocols compose with ``yield from``, which keeps every honest process
 on the same global round schedule -- exactly the paper's lock-step model.

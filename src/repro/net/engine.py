@@ -20,6 +20,12 @@ and the observer read, and delivers in one step that builds the round's
 tag index once and hands each honest process an
 :class:`~repro.net.message.Inbox` view over it.
 
+A process that yields :class:`~repro.net.protocol.Idle` sleeps: the engine
+keeps a wake schedule, builds inboxes for and resumes only the processes
+that listen in a round, and resumes a sleeper with ``None`` in the round
+it wakes.  A round in which nobody listens costs its accounting and the
+adversary's step, nothing else.
+
 An execution ends when every honest process has returned from its protocol
 coroutine; the per-process return values are the decisions.
 """
@@ -33,7 +39,7 @@ from .adversary import Adversary, AdversaryView, AdversaryWorld
 from .context import ProcessContext
 from .message import Broadcast, Envelope, Inbox, RoundTraffic, Send
 from .metrics import MetricsCollector
-from .protocol import SimulationTimeout
+from .protocol import Idle, SimulationTimeout, Yielded
 
 
 @dataclass
@@ -71,22 +77,22 @@ class _HonestDriver:
         self.finished = False
         self.result: Any = None
 
-    def start(self) -> List[Send]:
+    def start(self) -> Yielded:
         return self._advance(None)
 
-    def resume(self, inbox: Inbox) -> List[Send]:
-        if self.finished:
-            return []
+    def resume(self, inbox: Optional[Inbox]) -> Yielded:
+        """The process's next yield after reading ``inbox``, which is
+        ``None`` when it wakes from an :class:`~repro.net.protocol.Idle`."""
         return self._advance(inbox)
 
-    def _advance(self, inbox: Optional[Inbox]) -> List[Send]:
+    def _advance(self, inbox: Optional[Inbox]) -> Yielded:
         try:
             outgoing = self.generator.send(inbox)
         except StopIteration as stop:
             self.finished = True
             self.result = stop.value
             return []
-        return list(outgoing or [])
+        return outgoing if type(outgoing) is Idle else list(outgoing or ())
 
 
 class Network:
@@ -135,39 +141,57 @@ class Network:
             signer = signer_for(pid) if signer_for is not None else None
             ctx = ProcessContext(pid=pid, n=n, t=t, signer=signer)
             self._drivers[pid] = _HonestDriver(pid, protocol_factory(ctx))
-        # Round-loop bookkeeping: processes whose decision is still pending
-        # (drained by _note_decisions, which doubles as the loop condition,
-        # replacing an all-drivers scan per round).
-        self._undecided: Set[int] = set(self.honest_ids)
 
     def run(self) -> ExecutionResult:
         """Execute until every honest process returns; collect decisions."""
         self.adversary.bind(self.world)
         drivers = self._drivers
-        outgoing = RoundTraffic(self.n)
-        for pid in self.honest_ids:
-            outgoing.add(self._validated(drivers[pid].start(), pid))
+        metrics = self.metrics
+        observer = self.observer
+        # The wake schedule: ``awake`` holds, in pid order, the processes
+        # that read the coming round's inbox, and ``sleeping`` maps a round
+        # to the processes that idle until its end.  ``listening`` is whom
+        # the round resumes, in pid order, so sends stay in pid order and
+        # each sender's sends stay contiguous.  A process that returned is
+        # in none of them.
+        sleeping: Dict[int, List[int]] = {}
+        listening: List[int] = self.honest_ids
+        inboxes: Dict[int, Inbox] = {}
         round_no = 0
-        self._note_decisions(round_no)
-
-        while self._undecided:
+        while True:
+            outgoing = RoundTraffic(self.n)
+            awake: List[int] = []
+            returned: List[int] = []
+            for pid in listening:
+                driver = drivers[pid]
+                produced = (driver.resume(inboxes.get(pid)) if round_no
+                            else driver.start())
+                if driver.finished:
+                    returned.append(pid)
+                elif type(produced) is Idle:
+                    sleeping.setdefault(round_no + produced.rounds, []).append(pid)
+                else:
+                    awake.append(pid)
+                    if produced:
+                        outgoing.add(self._validated(produced, pid))
+            if returned:
+                self._note_decisions(round_no, returned)
+            if not (awake or sleeping):
+                break
             if round_no >= self.max_rounds:
                 raise SimulationTimeout(
                     f"honest processes undecided after {round_no} rounds"
                 )
             round_no += 1
-            self.metrics.record_round()
-            self.metrics.record_sends(outgoing)
+            metrics.record_round()
+            if outgoing.sends:
+                metrics.record_sends(outgoing)
             faulty_out = self._adversary_round(round_no, outgoing)
-            if self.observer is not None:
-                self.observer.on_round(round_no, outgoing, faulty_out)
-            inboxes = self._deliver(outgoing, faulty_out)
-            outgoing = RoundTraffic(self.n)
-            for pid in self.honest_ids:
-                produced = drivers[pid].resume(inboxes[pid])
-                if produced:
-                    outgoing.add(self._validated(produced, pid))
-            self._note_decisions(round_no)
+            if observer is not None:
+                observer.on_round(round_no, outgoing, faulty_out)
+            inboxes = self._deliver(outgoing, faulty_out, awake) if awake else {}
+            woken = sleeping.pop(round_no, None)
+            listening = sorted(awake + woken) if woken else awake
 
         decisions = {pid: d.result for pid, d in self._drivers.items()}
         return ExecutionResult(
@@ -203,11 +227,14 @@ class Network:
         return outgoing
 
     def _deliver(
-        self, honest_out: RoundTraffic, faulty_out: List[Envelope]
+        self, honest_out: RoundTraffic, faulty_out: List[Envelope],
+        listeners: List[int],
     ) -> Dict[int, Inbox]:
-        """One round's inboxes: a view per honest recipient over the shared
-        honest traffic, plus the adversary's envelopes to it.
+        """One round's inboxes: a view per listening honest process over
+        the shared honest traffic, plus the adversary's envelopes to it.
 
+        The tag index is built on every round that delivers to anyone,
+        adversary-only rounds included, so their shared reads stay shared.
         Messages addressed to faulty processes are not binned: the
         adversary already receives them through its
         :class:`~repro.net.adversary.AdversaryView` (``inbox_to_faulty``).
@@ -220,18 +247,13 @@ class Network:
                 faulty_to.setdefault(env.recipient, []).append(env)
         return {
             pid: Inbox(honest_out, pid, faulty_to.get(pid, ()))
-            for pid in self.honest_ids
+            for pid in listeners
         }
 
-    def _note_decisions(self, round_no: int) -> None:
-        if not self._undecided:
-            return
-        decided = []
-        for pid in self._undecided:
-            if self._drivers[pid].finished:
-                decided.append(pid)
-        for pid in sorted(decided):
-            self._undecided.discard(pid)
+    def _note_decisions(self, round_no: int, returned: List[int]) -> None:
+        """Record the decisions of the processes (in pid order) whose
+        coroutines returned in ``round_no``."""
+        for pid in returned:
             self.metrics.record_decision(pid, round_no)
             if self.observer is not None:
                 self.observer.on_decision(pid, round_no)

@@ -50,6 +50,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -105,6 +106,11 @@ class Envelope(_Tagged):
     recipient: int
     payload: Any
 
+    def __init__(self, sender: int, recipient: int, payload: Any) -> None:
+        _set_envelope_sender(self, sender)
+        _set_envelope_recipient(self, recipient)
+        _set_envelope_payload(self, payload)
+
 
 @dataclass(frozen=True, slots=True)
 class Broadcast(_Tagged):
@@ -117,6 +123,22 @@ class Broadcast(_Tagged):
 
     sender: int
     payload: Any
+
+    def __init__(self, sender: int, payload: Any) -> None:
+        _set_broadcast_sender(self, sender)
+        _set_broadcast_payload(self, payload)
+
+
+# The ``__init__`` methods above replace the generated ones, which assign
+# each field through ``object.__setattr__`` (frozen instances refuse plain
+# assignment): calling each slot's member descriptor directly stores the
+# same values for a fraction of the cost.  Equality, hashing, ``repr``,
+# ``dataclasses.replace`` and ``FrozenInstanceError`` are the dataclass's.
+_set_envelope_sender = Envelope.sender.__set__  # type: ignore[attr-defined]
+_set_envelope_recipient = Envelope.recipient.__set__  # type: ignore[attr-defined]
+_set_envelope_payload = Envelope.payload.__set__  # type: ignore[attr-defined]
+_set_broadcast_sender = Broadcast.sender.__set__  # type: ignore[attr-defined]
+_set_broadcast_payload = Broadcast.payload.__set__  # type: ignore[attr-defined]
 
 
 Send = Union[Broadcast, Envelope]
@@ -308,13 +330,31 @@ class Inbox(_Addressed):
 
     def __init__(self, traffic: RoundTraffic, recipient: int,
                  faulty: Sequence[Envelope] = ()) -> None:
-        super().__init__(traffic, (recipient,), faulty)
+        self._items = None
+        self._traffic = traffic
+        self._recipients = (recipient,)
+        self._extra = faulty
         self.recipient = recipient
 
     def __len__(self) -> int:
         traffic = self._traffic
         return (traffic.broadcasts + len(traffic.direct.get(self.recipient, ()))
                 + len(self._extra))
+
+    def tags(self) -> Optional[Collection[Any]]:
+        """:func:`tags_of` on this inbox: the round index's tags, plus the
+        tags of this recipient's own envelopes."""
+        traffic = self._traffic
+        index = traffic._index
+        if index is None:
+            return None
+        direct = traffic.direct.get(self.recipient)
+        if not direct and not self._extra:
+            return index.keys()
+        held = set(index)
+        if _add_plain_tags(direct or (), held) and _add_plain_tags(self._extra, held):
+            return held
+        return None
 
     def by_tag(self, tag: Any) -> Pairs:
         """:func:`by_tag` on this inbox."""
@@ -371,6 +411,46 @@ def _first_per_sender(pairs: Pairs) -> Pairs:
             seen.add(pair[0])
             out.append(pair)
     return out
+
+
+#: Tag parts whose equality a set reproduces exactly (unlike ``True`` and
+#: ``1.0``, which equal ``1``, or a subclass that redefines ``__eq__``).
+PLAIN_TAG_PARTS = frozenset((str, int))
+
+
+def _add_plain_tags(envelopes: Iterable[Envelope], held: Set[Any]) -> bool:
+    """Add each envelope's tag to ``held``; ``False`` as soon as one is
+    not plain: ``None`` (a malformed payload), a ``str``, an ``int`` or a
+    tuple of exactly those."""
+    for env in envelopes:
+        tag = env.parts()[0]
+        kind = type(tag)
+        if kind is tuple:
+            if not PLAIN_TAG_PARTS.issuperset(map(type, tag)):
+                return False
+        elif not (tag is None or kind is str or kind is int):
+            return False
+        held.add(tag)
+    return True
+
+
+def tags_of(inbox: Iterable[Envelope]) -> Optional[Collection[Any]]:
+    """The tags ``inbox`` holds messages under, or ``None`` when a
+    collection cannot answer for them.
+
+    A tag that is not in the answer has no message in ``inbox``:
+    :func:`by_tag` on it is empty, so a reader of many tags may skip the
+    absent ones.  Membership is exact for a tag whose hash agrees with its
+    equality, as every honest tag's does.  The tags of envelopes the
+    round index does not cover -- point-to-point, adversary and
+    plain-list ones -- count only when plain (see
+    :func:`_add_plain_tags`), whose equality a set reproduces; any other
+    makes the answer ``None``, and the reader reads every tag.
+    """
+    if type(inbox) is Inbox:
+        return inbox.tags()
+    held: Set[Any] = set()
+    return held if _add_plain_tags(inbox, held) else None
 
 
 def tagged(tag: Tuple, body: Any) -> Tuple:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..crypto.keys import Signature, signature_repr_len
-from .message import Broadcast, Envelope, RoundTraffic
+from .message import PLAIN_TAG_PARTS, Broadcast, Envelope, RoundTraffic
 
 
 def payload_bits(payload: Any) -> int:
@@ -89,7 +89,17 @@ def _component_of(payload: Any) -> str:
     return "<untagged>"
 
 
-_PLAIN_PARTS = frozenset((str, int))
+#: Tag -> ``(bits, component)``, shared by every execution in the process:
+#: a tag's charge depends on the tag alone.  Dict lookup matches
+#: ``("b", 1)``, ``("b", True)`` and ``("b", 1.0)`` as one key although
+#: their bits and components differ, so the memo holds, and is consulted
+#: for, only tuple tags whose parts are all exactly ``str`` or ``int``:
+#: equal tags of that kind are the same tag.  Every other tag is charged
+#: per send.
+_TAG_CHARGES: Dict[tuple, Tuple[int, str]] = {}
+#: Honest protocols use a few hundred tags; the bound only keeps a
+#: caller that sends under ever-new tags from growing the memo forever.
+_TAG_CHARGES_MAX = 1 << 16
 
 
 def _tag_charge(tag: Any) -> Tuple[int, str]:
@@ -103,12 +113,8 @@ class MetricsCollector:
     """Accumulates round and message statistics for one execution.
 
     Every payload under one tag carries the same tag bits and component,
-    so :meth:`record_sends` charges a tag once per execution through a
-    memo.  Dict lookup matches ``("b", 1)``, ``("b", True)`` and
-    ``("b", 1.0)`` as one key although their bits and components differ,
-    so the memo holds, and is consulted for, only tuple tags whose parts
-    are all exactly ``str`` or ``int``: equal tags of that kind are the
-    same tag.  Every other tag is charged per send.
+    so :meth:`record_sends` charges a tag through a process-wide memo
+    (see :data:`_TAG_CHARGES`).
     """
 
     honest_messages: int = 0
@@ -118,8 +124,6 @@ class MetricsCollector:
     per_process: Counter = field(default_factory=Counter)
     per_component: Counter = field(default_factory=Counter)
     decision_round: Dict[int, int] = field(default_factory=dict)
-    _tag_memo: Dict[tuple, Tuple[int, str]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def record_round(self) -> None:
         self.rounds += 1
@@ -136,26 +140,29 @@ class MetricsCollector:
         count.  A broadcast is measured once and counted once per
         recipient.
         """
-        if not traffic:
+        count = len(traffic)
+        if not count:
             return
         if isinstance(traffic, RoundTraffic):
             sends: Sequence[Any] = traffic.sends
             n = traffic.n
         else:
             sends, n = traffic, 1
-        memo = self._tag_memo
-        processes: Dict[int, int] = {}
-        components: Dict[str, int] = {}
+        charges = _TAG_CHARGES
+        per_process = self.per_process
+        per_component = self.per_component
         bits = 0
         for send in sends:
             copies = n if type(send) is Broadcast else 1
             payload = send.payload
             if type(payload) is tuple and len(payload) == 2:
                 tag, body = payload
-                if type(tag) is tuple and _PLAIN_PARTS.issuperset(map(type, tag)):
-                    charge = memo.get(tag)
+                if type(tag) is tuple and PLAIN_TAG_PARTS.issuperset(map(type, tag)):
+                    charge = charges.get(tag)
                     if charge is None:
-                        charge = memo[tag] = _tag_charge(tag)
+                        charge = _tag_charge(tag)
+                        if len(charges) < _TAG_CHARGES_MAX:
+                            charges[tag] = charge
                 else:
                     charge = _tag_charge(tag)
                 bits += (charge[0] + payload_bits(body)) * copies
@@ -163,21 +170,12 @@ class MetricsCollector:
             else:
                 bits += payload_bits(payload) * copies
                 component = _component_of(payload)
-            sender = send.sender
-            processes[sender] = processes.get(sender, 0) + copies
-            components[component] = components.get(component, 0) + copies
-        # Folding the round's plain dicts in first-seen order keeps the
-        # counters' key order what per-send increments would give.
-        per_process = self.per_process
-        for sender, copies in processes.items():
-            per_process[sender] += copies
-        per_component = self.per_component
-        for component, copies in components.items():
+            per_process[send.sender] += copies
             per_component[component] += copies
-        self.honest_messages += len(traffic)
+        self.honest_messages += count
         self.honest_bits += bits
         if self.per_round:
-            self.per_round[-1] += len(traffic)
+            self.per_round[-1] += count
 
     def record_decision(self, pid: int, round_no: int) -> None:
         self.decision_round.setdefault(pid, round_no)

@@ -1,5 +1,7 @@
 """Unit tests for the adversary framework: ghosts, mutators, strategies."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -14,6 +16,8 @@ from repro.adversary import (
     SilentAdversary,
     inverted_prediction_mutator,
 )
+from repro.adversary.registry import adversary_names
+from repro.core.wrapper import MODES
 from repro.gradecast import graded_consensus
 from repro.net.adversary import AdversaryView, AdversaryWorld
 from repro.net.message import Envelope, tagged
@@ -134,6 +138,34 @@ GHOST_ROWS = [
                          ids=[spec["adversary"] for spec, _ in GHOST_ROWS])
 def test_ghost_backed_rows_are_unchanged(spec, row):
     assert execute_spec(ScenarioSpec(**spec)) == row
+
+
+#: sha256 of the rows of every registered adversary in both modes over
+#: n in {4, 7, 10} (t = f = (n - 1) // 3), B in {0, n}, the split and ones
+#: patterns and seed 0: 168 executions.  The benchmark lists run only
+#: silent, stalling and noise, so this pins the paths they skip (ghosts,
+#: echo, mutating).  Re-record it only with a change that means to alter
+#: rows, and say so.
+ALL_ADVERSARY_ROWS_SHA256 = (
+    "de723bf8f8fbc40d724f5bfb974e4bfe1a5f1590640f044d9591d41f75b0284c")
+
+
+def test_rows_of_every_registered_adversary_are_unchanged():
+    assert adversary_names() == [
+        "echo", "liar", "mutating", "noise", "silent", "split", "stalling"]
+    rows = [
+        execute_spec(ScenarioSpec(
+            n=n, t=(n - 1) // 3, f=(n - 1) // 3, budget=budget, mode=mode,
+            adversary=adversary, pattern=pattern, seed=0))
+        for mode in MODES
+        for adversary in adversary_names()
+        for n in (4, 7, 10)
+        for budget in (0, n)
+        for pattern in ("split", "ones")
+    ]
+    blob = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == (
+        ALL_ADVERSARY_ROWS_SHA256)
 
 
 class TestCrashAdversary:

@@ -19,6 +19,7 @@ from repro.core.api import run_protocol
 from repro.crypto import Signature
 from repro.crypto.keys import signature_repr_len
 from repro.net import Broadcast, Envelope, by_tag, by_tag_all, reduce_by_tag
+from repro.net.message import tags_of
 from repro.net import metrics as metrics_module
 from repro.net.metrics import _component_of, payload_bits
 
@@ -106,11 +107,16 @@ def test_broadcast_once_round_equals_expanded_round(round_):
     n, faulty, honest, sends, faulty_out = round_
     seen = {}
 
+    def held(inbox):
+        tags = tags_of(inbox)
+        return None if tags is None else set(tags)
+
     def probe(ctx):
         inbox = yield sends[ctx.pid]
         return (list(inbox), len(inbox),
                 [by_tag(inbox, tag) for tag in QUERIES],
-                [by_tag_all(inbox, tag) for tag in QUERIES])
+                [by_tag_all(inbox, tag) for tag in QUERIES],
+                held(inbox), held(list(inbox)))
 
     def script(view, world):
         if view.round_no != 1:
@@ -129,11 +135,15 @@ def test_broadcast_once_round_equals_expanded_round(round_):
     for pid in honest:
         old_inbox = ([e for e in honest_env if e.recipient == pid]
                      + [e for e in faulty_out if e.recipient == pid])
-        got_list, got_len, got_first, got_all = result.decisions[pid]
+        got_list, got_len, got_first, got_all, *got_held = result.decisions[pid]
         assert got_list == old_inbox
         assert got_len == len(old_inbox)
         assert got_first == [reference_by_tag(old_inbox, tag) for tag in QUERIES]
         assert got_all == [reference_by_tag_all(old_inbox, tag) for tag in QUERIES]
+        # tags_of answers exactly, or not at all (an unhashable or
+        # unindexed tag); the plain-list path agrees with the inbox's.
+        for held in got_held:
+            assert held is None or held == {e.parts()[0] for e in old_inbox}
 
     metrics = result.metrics
     assert metrics.honest_messages == len(honest_env)
@@ -223,6 +233,29 @@ def test_shared_reads_equal_per_recipient_reads(round_):
         expected_calls["senders_below"] += len(shared_bounded)
     assert calls["count_bodies"] == expected_calls["count_bodies"]
     assert calls["senders_below"] == expected_calls["senders_below"]
+
+
+def test_adversary_only_round_still_shares_the_read():
+    """A round without honest sends is indexed too: the honest recipients
+    that no adversary envelope under the tag reaches share one reduction."""
+    runs = []
+
+    def counting(pairs):
+        runs.append(len(pairs))
+        return tuple(pairs)
+
+    def probe(ctx):
+        inbox = yield []
+        return reduce_by_tag(inbox, ("t",), counting)
+
+    def script(view, world):
+        return [Envelope(3, 0, (("t",), "x"))]
+
+    result = run_protocol(4, 1, [3], probe, ScriptedAdversary(script))
+    assert result.decisions[0] == ((3, "x"),)
+    assert result.decisions[1] == ()
+    assert result.decisions[1] is result.decisions[2]
+    assert runs == [1, 0]  # process 0's own read, one shared by 1 and 2
 
 
 def test_plain_envelope_lists_reduce_per_call():

@@ -14,7 +14,7 @@ from repro.crypto import (
     start_chain,
 )
 from repro.net.message import Envelope
-from repro.net.protocol import run_exactly
+from repro.net.protocol import Idle, run_exactly
 
 
 def _cert(keystore, pid, t):
@@ -65,11 +65,12 @@ def test_run_exactly_consumes_exact_round_count(sub_rounds, budget):
     gen = outer()
     rounds = 0
     try:
-        gen.send(None)
-        rounds += 1
+        out = gen.send(None)
         while True:
-            gen.send([])
-            rounds += 1
+            # An Idle(k) yield stands for k rounds and is resumed with None.
+            idling = isinstance(out, Idle)
+            rounds += out.rounds if idling else 1
+            out = gen.send(None if idling else [])
     except StopIteration as stop:
         result, finished = stop.value
     assert rounds == budget
