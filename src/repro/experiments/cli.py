@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--log-level", choices=sorted(LOG_LEVELS), default=None,
         help="structured log verbosity on stderr for the repro logging "
-        "tree (driver retry/resend/requeue lines at warning+)",
+        "tree (driver connect-retry lines at warning+)",
     )
 
     report = commands.add_parser(

@@ -9,19 +9,19 @@ Import surface (everything here is stdlib-only, so lower layers like
 * :func:`load_telemetry`, :data:`TELEMETRY_SCHEMA_VERSION` -- sink I/O;
 * :func:`configure_logging`, :func:`kv` -- structured logging
   (:mod:`repro.obs.logsetup`);
-* :class:`MetricsRegistry`, :data:`NULL_METRIC` -- live counters and
-  gauges (:mod:`repro.obs.metrics`; instrumentation sites use the
-  submodule helpers, ``from repro.obs import metrics``).
+* :class:`MetricsRegistry` -- the three counters the benchmark harness
+  reads (:mod:`repro.obs.metrics`; instrumentation sites use the
+  submodule helper, ``from repro.obs import metrics``).
 
-:mod:`repro.obs.stats` (the ``repro stats`` renderer) and the renderer
-half of :mod:`repro.obs.live` are deliberately *not* imported here: they
-pull in :mod:`repro.reporting`, which imports the runtime, which imports
-this package -- importing them eagerly would make the package cyclic.
-Import them directly when needed.
+:mod:`repro.obs.stats` (the ``repro stats`` renderer) is deliberately
+*not* imported here: it pulls in :mod:`repro.reporting`, which imports
+the runtime, which imports this package -- importing it eagerly would
+make the package cyclic.  Import it, and :mod:`repro.obs.live`, directly
+when needed.
 """
 
 from .logsetup import LOG_LEVELS, configure_logging, kv
-from .metrics import MetricsRegistry, NULL_METRIC
+from .metrics import MetricsRegistry
 from .spans import (
     DISABLED,
     NULL_SPAN,
@@ -39,7 +39,6 @@ __all__ = [
     "DISABLED",
     "LOG_LEVELS",
     "MetricsRegistry",
-    "NULL_METRIC",
     "NULL_SPAN",
     "Span",
     "Telemetry",

@@ -1,9 +1,10 @@
-"""Live campaign progress: a reporter thread over the metrics registry.
+"""Live campaign progress: a reporter thread over the runner's stats.
 
 While a campaign runs, a single daemon thread periodically reads the
-process-global :mod:`repro.obs.metrics` registry (the runner's
-``campaign.*`` counters and gauges) plus the backend's optional
-``live_workers()`` self-report and renders one progress line:
+runner's :class:`~repro.runtime.runner.CampaignStats` (executed, cached
+and failed counts, which the runner's loop updates as results land)
+plus the backend's optional ``live_workers()`` rows and renders one
+progress line:
 
 * on a TTY, the line redraws in place (``\\r``, padded to cover the
   previous render) -- a classic single-line progress display;
@@ -14,8 +15,9 @@ process-global :mod:`repro.obs.metrics` registry (the runner's
 
 The reporter is an *observer*: it never touches result rows, stores, or
 the backend, so campaigns stay byte-identical with the live view on or
-off.  All numbers come from the metrics registry, so the live view adds
-no instrumentation of its own.
+off.  It reads numbers the runner and the backend already keep; reads
+of plain ints are atomic under the GIL, so a render may be one result
+stale but never torn.
 """
 
 from __future__ import annotations
@@ -23,18 +25,19 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from typing import Any, Dict, List, Optional
-
-from . import metrics
+from typing import Any, List
 
 
 class LiveReporter:
-    """Render campaign progress from the metrics registry.
+    """Render campaign progress from the runner's stats.
 
     Args:
-        total: scenarios the campaign will resolve (the ETA denominator).
+        stats: the running campaign's ``CampaignStats``; its
+            ``executed``, ``failed`` and ``cached`` counts are read on
+            every render.
+        total: scenarios the campaign will execute (the ETA denominator).
         backend: the active backend; if it exposes ``live_workers()``
-            (the socket backend does), a compact per-worker table is
+            (the socket backend does), one compact cell per worker is
             appended to each render.
         stream: output stream (default ``sys.stderr``; tests pass a
             ``StringIO``).  ``stream.isatty()`` selects redraw vs append
@@ -42,8 +45,9 @@ class LiveReporter:
         interval: seconds between renders.
     """
 
-    def __init__(self, total: int, backend: Any = None,
+    def __init__(self, stats: Any, total: int, backend: Any = None,
                  stream: Any = None, interval: float = 0.5) -> None:
+        self.stats = stats
         self.total = total
         self.backend = backend
         self.stream = stream if stream is not None else sys.stderr
@@ -102,12 +106,9 @@ class LiveReporter:
             pass
 
     def compose(self, final: bool = False) -> str:
-        """One progress line from the current registry state."""
-        registry = metrics.current()
-        done = int(
-            registry.value("campaign.completed")
-            + registry.value("campaign.failed")
-        )
+        """One progress line from the campaign's current stats."""
+        stats = self.stats
+        done = stats.executed + stats.failed
         elapsed = max(time.perf_counter() - self._started, 1e-9)
         rate = done / elapsed
         parts = [
@@ -115,11 +116,8 @@ class LiveReporter:
             f"{rate:.1f}/s",
             self._eta(done, rate, final),
         ]
-        for label, name in (
-            ("cached", "campaign.cached"),
-            ("failed", "campaign.failed"),
-        ):
-            value = int(registry.value(name))
+        for label, value in (("cached", stats.cached),
+                             ("failed", stats.failed)):
             if value:
                 parts.append(f"{label} {value}")
         workers = self._worker_cells()
@@ -137,44 +135,16 @@ class LiveReporter:
         return f"eta {(self.total - done) / rate:.1f}s"
 
     def _worker_cells(self) -> List[str]:
-        """Compact per-worker cells from the backend's wire-v6 report."""
+        """One ``[addr:inflight/wN done C RTTms]`` cell per worker, from
+        the driver-side rows of the backend's ``live_workers()``."""
         live_workers = getattr(self.backend, "live_workers", None)
         if live_workers is None:
             return []
         cells = []
         for row in live_workers():
-            bits = [f"{row.get('worker')}:"
-                    f"{row.get('inflight', 0)}/w{row.get('window', 1)}"]
-            if row.get("queue") is not None:
-                bits.append(f"q{row['queue']}")
-            if row.get("exec/s") is not None:
-                bits.append(f"{row['exec/s']}/s")
+            bits = [f"{row['worker']}:{row['inflight']}/w{row['window']}",
+                    f"done {row['completed']}"]
             if row.get("rtt_ms") is not None:
                 bits.append(f"{row['rtt_ms']}ms")
-            cells.append("[" + " ".join(str(b) for b in bits) + "]")
+            cells.append("[" + " ".join(bits) + "]")
         return cells
-
-
-def render_worker_table(rows: List[Dict[str, Any]]) -> str:
-    """A full per-worker table (the ``--live`` final summary and tests).
-
-    Lazy reporting import, like :mod:`repro.obs.stats` -- importing the
-    reporting layer at module scope from inside ``repro.obs`` would be
-    cyclic.
-    """
-    from ..reporting.render import format_table
-
-    if not rows:
-        return "live: no workers"
-    display = [
-        {key: ("" if row.get(key) is None else row.get(key))
-         for key in ("worker", "inflight", "window", "rtt_ms",
-                     "queue", "done", "exec/s", "completed")}
-        for row in rows
-    ]
-    return format_table(
-        display,
-        ["worker", "inflight", "window", "rtt_ms", "queue", "done",
-         "exec/s", "completed"],
-        title=f"workers: {len(rows)}",
-    )

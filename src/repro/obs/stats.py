@@ -7,14 +7,14 @@ answer "where did the wall-clock go".  Three views:
 * **phase breakdown** -- per-phase totals across every job: execute,
   serialize, queue wait, in-flight, worker-side deserialize/queue, the
   residual wire+dispatch overhead, store appends, lock wait;
-* **per-worker utilization** -- busy time, window occupancy, completed
-  jobs, and ping RTTs per socket worker;
+* **per-worker utilization** -- jobs, busy time, window occupancy and
+  ping RTTs per socket worker, derived from the ``job`` events;
 * **wall-clock summary** -- the campaign span against the accounted
   phases, quantifying exactly how much of a <1x-speedup backend's time
   is overhead rather than execution;
 * **resilience summary** -- every recovery action the backend took
-  (connect retries, job resends, worker deaths, requeues) so a
-  campaign's survival story is visible next to its timings.
+  (connect retries, worker deaths, requeues) so a campaign's survival
+  story is visible next to its timings.
 
 Rendering reuses :func:`repro.reporting.render.format_table` and
 :func:`~repro.reporting.render.sparkline` (imported lazily: this module
@@ -54,7 +54,6 @@ _SPAN_PHASES = (
 _RESILIENCE_EVENTS = (
     ("socket.retry", "connect retry"),
     ("socket.unexpected_frame", "unexpected frame"),
-    ("socket.resend", "job resend"),
     ("socket.worker_dead", "worker death"),
     ("socket.requeue", "requeue"),
 )
@@ -224,44 +223,68 @@ def phase_breakdown(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
     return breakdown
 
 
+def _peak_overlap(intervals: Sequence[tuple]) -> int:
+    """Most ``(start, stop)`` intervals open at once.
+
+    Where one interval closes at the instant another opens, the sweep
+    takes the close first, so back-to-back intervals never count as
+    overlapping.
+    """
+    edges = sorted([(start, 1) for start, _ in intervals]
+                   + [(stop, -1) for _, stop in intervals])
+    peak = level = 0
+    for _, step in edges:
+        level += step
+        peak = max(peak, level)
+    return peak
+
+
 def worker_utilization(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Per-worker table from ``socket.worker``/``socket.connect``/
-    ``socket.ping``/``job`` events: jobs completed, busy time,
-    utilization, mean/peak pipeline window, mean ping RTT, plus the
-    worker's own last wire-v6 metrics snapshot (executed-job count and
-    exec rate measured on the worker's clock) when present."""
-    jobs_by_worker: Dict[str, int] = defaultdict(int)
+    """Per-worker table derived from the socket ``job`` events.
+
+    A ``job`` event fires when its result lands, so each socket job was
+    in flight over ``[at - inflight_s, at]`` on the telemetry clock.
+    Per worker: ``jobs`` counts those intervals, ``busy_s`` is their
+    union, ``util_%`` is ``busy_s`` over the campaign wall, ``mean_win``
+    is the summed in-flight seconds over the wall (the mean number of
+    jobs in flight) and ``peak_win`` is the most intervals open at once.
+    The driver sends a job only after the previous result's event is
+    recorded, so ``peak_win`` never exceeds the pipeline window.
+    ``rtt_ms`` is the mean ``socket.connect``/``socket.ping`` round
+    trip.  ``util_%`` and ``mean_win`` are blank without a campaign
+    span.
+    """
+    intervals: Dict[str, List[tuple]] = defaultdict(list)
     for job in _events(rows, "job"):
-        worker = (job.get("attrs") or {}).get("worker")
-        if worker:
-            jobs_by_worker[worker] += 1
+        attrs = job.get("attrs") or {}
+        worker, inflight = attrs.get("worker"), attrs.get("inflight_s")
+        if worker and inflight is not None and job.get("at") is not None:
+            at = float(job["at"])
+            intervals[worker].append((at - float(inflight), at))
     rtts: Dict[str, List[float]] = defaultdict(list)
     for name in ("socket.connect", "socket.ping"):
         for event in _events(rows, name):
             attrs = event.get("attrs") or {}
             if attrs.get("worker") and attrs.get("rtt_s") is not None:
                 rtts[attrs["worker"]].append(float(attrs["rtt_s"]))
+    wall = campaign_wall(rows)
     table = []
-    for event in _events(rows, "socket.worker"):
-        attrs = event.get("attrs") or {}
-        worker = attrs.get("worker", "?")
+    for worker in sorted(intervals):
+        spans = intervals[worker]
+        busy = _union_seconds(spans)
         samples = rtts.get(worker)
-        done = attrs.get("w_done")
-        up_s = float(attrs.get("w_up_s") or 0.0)
         table.append({
             "worker": worker,
-            "jobs": jobs_by_worker.get(worker, 0),
-            "busy_s": attrs.get("busy_s"),
-            "util_%": round(float(attrs.get("utilization") or 0.0) * 100, 1),
-            "mean_win": attrs.get("mean_window"),
-            "peak_win": attrs.get("peak_window"),
+            "jobs": len(spans),
+            "busy_s": round(busy, 6),
+            "util_%": round(busy / wall * 100, 1) if wall else "",
+            "mean_win": (round(sum(stop - start for start, stop in spans)
+                               / wall, 3) if wall else ""),
+            "peak_win": _peak_overlap(spans),
             "rtt_ms": (round(sum(samples) / len(samples) * 1e3, 3)
                        if samples else ""),
-            "w_done": done if done is not None else "",
-            "exec/s": (round(float(done) / up_s, 1)
-                       if done is not None and up_s > 0 else ""),
         })
-    return sorted(table, key=lambda row: str(row["worker"]))
+    return table
 
 
 def coverage(rows: Sequence[Dict[str, Any]]) -> Optional[float]:
@@ -305,7 +328,7 @@ def resilience_summary(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
 
     One row per event kind that occurred -- ``{event, count, detail}``
     where detail compresses the most useful attribute: which workers
-    died or were sent a job again, how many scenarios were requeued.
+    died, how many scenarios were requeued.
     Empty for a campaign that never had to recover from anything.
     """
     table = []
@@ -314,7 +337,7 @@ def resilience_summary(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
         if not events:
             continue
         detail = ""
-        if name in ("socket.worker_dead", "socket.resend"):
+        if name == "socket.worker_dead":
             workers = sorted({
                 (event.get("attrs") or {}).get("worker", "?")
                 for event in events
@@ -402,13 +425,11 @@ def render_stats(rows: Sequence[Dict[str, Any]],
 
     workers = worker_utilization(rows)
     if workers:
-        columns = ["worker", "jobs", "busy_s", "util_%", "mean_win",
-                   "peak_win", "rtt_ms"]
-        if any(row["w_done"] != "" for row in workers):
-            columns += ["w_done", "exec/s"]
         lines.append("")
         lines.append(format_table(
-            workers, columns, title="worker utilization",
+            workers, ["worker", "jobs", "busy_s", "util_%", "mean_win",
+                      "peak_win", "rtt_ms"],
+            title="worker utilization",
         ))
 
     resilience = resilience_summary(rows)

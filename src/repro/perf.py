@@ -140,13 +140,4 @@ def cache_report(keystore: Optional[Any] = None) -> Dict[str, Dict[str, Any]]:
     report: Dict[str, Dict[str, Any]] = {}
     if keystore is not None:
         report.update(keystore.cache_stats())
-    # Mirror the rates into the obs metrics registry (no-op when it is
-    # disabled).  Gauges are set here, at report time, not per hit: the
-    # memoization fast path above must stay free of registry traffic.
-    from .obs import metrics as obs_metrics
-
-    for name, stats in report.items():
-        rate = stats.get("hit_rate")
-        if isinstance(rate, (int, float)):
-            obs_metrics.set_gauge(f"perf.{name}.hit_rate", rate)
     return report

@@ -15,14 +15,11 @@ backlog.  Each driver also enforces liveness:
 * a worker that closes its socket (killed process, network drop) is dead
   immediately;
 * a worker that goes quiet past ``job_timeout`` is pinged; no frame
-  within ``ping_grace`` declares it dead (workers answer pings from a
-  dedicated reader thread even mid-execution, so a slow scenario alone
-  never trips this -- tune ``job_timeout`` to the slowest expected
-  scenario);
-* a worker that answers pings while a job stays outstanding past
-  ``job_timeout`` gets the job *resent* (a dropped frame on a live link
-  starves, it does not kill); :data:`~SocketBackend.MAX_RESENDS` losses
-  of the same job declare the link dead anyway.
+  within ``ping_grace`` declares it dead.  Workers answer pings from a
+  dedicated reader thread even mid-execution, so a slow scenario on a
+  live worker runs as long as it takes, as on the serial and pool
+  backends.  TCP delivers every frame of a live connection, so a job
+  that was sent is never sent again to the same worker.
 
 Connect retries re-dial unreachable workers with exponential backoff
 and jitter (``connect_retries``) before giving up on an address; by
@@ -36,8 +33,8 @@ rows are pure functions of their specs.  When the last worker dies with
 scenarios unfinished, the campaign stops with :class:`BackendError`;
 the runner has stored every row that finished, so a store-backed rerun
 resumes where it stopped.  Every recovery action emits an obs event
-(``socket.retry``, ``socket.resend``, ``socket.worker_dead``,
-``socket.requeue``) rendered by ``repro stats``.
+(``socket.retry``, ``socket.worker_dead``, ``socket.requeue``) rendered
+by ``repro stats``.
 """
 
 from __future__ import annotations
@@ -66,7 +63,7 @@ from .wire import (
     send_frame,
 )
 
-#: Structured driver-side log (retry/resend/requeue events).
+#: Structured driver-side log (connect retries, unexpected frames).
 _log = logging.getLogger("repro.socket")
 
 #: Sentinel telling a driver thread its worker has no further work.
@@ -82,48 +79,6 @@ _MAX_BACKOFF_S = 30.0
 _Event = Tuple[str, Any, Any]
 
 
-class _Occupancy:
-    """Pipeline-window occupancy integral for one worker link.
-
-    Tracks how many jobs are in flight over time (driven only from the
-    link's single driver thread, so no locking): ``busy_s`` is time with
-    at least one job in flight, the integral divided by wall time is the
-    mean window depth.  A mean window well below the configured
-    ``window`` means the driver, not the worker, is the bottleneck.
-    """
-
-    __slots__ = ("started", "last", "count", "busy_s", "integral", "peak")
-
-    def __init__(self) -> None:
-        self.started = self.last = time.perf_counter()
-        self.count = 0
-        self.busy_s = 0.0
-        self.integral = 0.0
-        self.peak = 0
-
-    def change(self, delta: int) -> None:
-        now = time.perf_counter()
-        elapsed = now - self.last
-        if self.count > 0:
-            self.busy_s += elapsed
-        self.integral += self.count * elapsed
-        self.last = now
-        self.count += delta
-        if self.count > self.peak:
-            self.peak = self.count
-
-    def summary(self) -> Dict[str, float]:
-        self.change(0)  # flush the open interval
-        wall = max(self.last - self.started, 1e-9)
-        return {
-            "wall_s": round(wall, 6),
-            "busy_s": round(self.busy_s, 6),
-            "utilization": round(self.busy_s / wall, 4),
-            "mean_window": round(self.integral / wall, 3),
-            "peak_window": self.peak,
-        }
-
-
 class _WorkerLink:
     """Driver-side state for one connected worker, labelled by its address."""
 
@@ -136,18 +91,11 @@ class _WorkerLink:
         self.jobs: "queue.Queue[Any]" = queue.Queue()
         self.finishing = False
         self.completed = 0
-        self.resends = 0
-        #: Handshake duration (set by ``_open_link``).
-        self.connect_s = 0.0
         #: Measured ping round trips, oldest first (the post-handshake
         #: calibration ping plus any heartbeat pings; GIL-atomic appends).
         self.ping_rtts: List[float] = []
         #: Telemetry only: per-key ``(queue_s, serialize_s, sent_perf)``.
         self.phase_meta: Dict[str, Tuple[float, float, float]] = {}
-        #: Latest worker self-report (the wire-v6 ``metrics`` field on
-        #: ``pong``/``result`` frames); read by the live view and the
-        #: teardown ``socket.worker`` event.  GIL-atomic replace.
-        self.worker_metrics: Optional[Dict[str, Any]] = None
         #: Jobs currently in flight on this link (driver-thread writes,
         #: live-view reads).
         self.inflight_jobs = 0
@@ -245,7 +193,6 @@ class _Submission:
             "lost": 0,
             "requeued": 0,
             "duplicates": 0,
-            "resends": 0,
             "per_worker": {},
             "ping_rtt_s": [],
         }
@@ -326,7 +273,6 @@ class _Submission:
             per_worker[link.address] = (
                 per_worker.get(link.address, 0) + link.completed
             )
-            self.stats["resends"] += link.resends
         self.stats["per_worker"] = per_worker
         self.stats["ping_rtt_s"] = [
             rtt for link in self.links for rtt in link.ping_rtts
@@ -339,8 +285,9 @@ class SocketBackend(Backend):
     Args:
         addresses: worker endpoints, as ``"host:port"`` strings or
             ``(host, port)`` pairs.
-        job_timeout: seconds a job may be outstanding before the worker
-            is pinged (and, if alive, the job resent).
+        job_timeout: seconds of silence from a worker with jobs in
+            flight before it is pinged; a worker that answers keeps its
+            jobs, however long they run.
         ping_grace: seconds after a ping before the worker is declared
             dead.
         connect_timeout: handshake/connect deadline per worker.
@@ -359,10 +306,6 @@ class SocketBackend(Backend):
     name = "socket"
     parallel = True
     distributed = True
-
-    #: Times one job may be resent to a live-but-silent worker before
-    #: the link is declared dead anyway.
-    MAX_RESENDS = 3
 
     def __init__(
         self,
@@ -460,13 +403,13 @@ class SocketBackend(Backend):
         """Connect + handshake one worker into a ready :class:`_WorkerLink`."""
         connect_start = time.perf_counter()
         sock, rtt = self._connect(address)
+        connect_s = time.perf_counter() - connect_start
         link = _WorkerLink(address, sock)
-        link.connect_s = time.perf_counter() - connect_start
         if rtt is not None:
             link.ping_rtts.append(rtt)
         current().event(
             "socket.connect", worker=address,
-            dur_s=round(link.connect_s, 6),
+            dur_s=round(connect_s, 6),
             rtt_s=round(rtt, 6) if rtt is not None else None,
         )
         return link
@@ -563,8 +506,6 @@ class SocketBackend(Backend):
             parts.append(f"{stats['lost']} lost mid-campaign")
         if stats["requeued"]:
             parts.append(f"{stats['requeued']} scenario(s) requeued")
-        if stats["resends"]:
-            parts.append(f"{stats['resends']} job resend(s)")
         if stats["duplicates"]:
             parts.append(f"{stats['duplicates']} duplicate result(s) dropped")
         completed = ", ".join(
@@ -582,31 +523,22 @@ class SocketBackend(Backend):
         return " | ".join(parts)
 
     def live_workers(self) -> List[Dict[str, Any]]:
-        """Per-link liveness rows for the live progress view.
-
-        Combines driver-side state (in-flight jobs, pipeline window,
-        last ping RTT, completed count) with the worker's own wire-v6
-        self-report (queue depth, jobs done, exec rate).  Read from the
-        reporter thread while driver threads mutate the links: every
-        field is a GIL-atomic read of an int/float/reference, so rows
-        are slightly stale but never torn.
+        """Per-link rows for the live progress view, all driver-side
+        state: jobs in flight, the pipeline window, results completed
+        and the last ping round trip.  Read from the reporter thread
+        while driver threads mutate the links: every field is a
+        GIL-atomic read of an int/float/reference, so rows are slightly
+        stale but never torn.
         """
         rows: List[Dict[str, Any]] = []
         for link in list(self._links):
-            report = link.worker_metrics or {}
             rtts = link.ping_rtts
-            done = report.get("done")
-            up_s = report.get("up_s") or 0.0
             rows.append({
                 "worker": link.address,
                 "inflight": link.inflight_jobs,
                 "window": self.window,
-                "rtt_ms": round(rtts[-1] * 1e3, 2) if rtts else None,
-                "queue": report.get("queue"),
-                "done": done,
-                "exec/s": (round(float(done) / up_s, 1)
-                           if done is not None and up_s > 0 else None),
                 "completed": link.completed,
+                "rtt_ms": round(rtts[-1] * 1e3, 2) if rtts else None,
             })
         return rows
 
@@ -619,20 +551,15 @@ class SocketBackend(Backend):
         peers: Callable[[], Sequence[_WorkerLink]],
     ) -> None:
         telemetry = current()
-        occupancy = _Occupancy() if telemetry.enabled else None
-        #: scenario key -> mutable ``[job, sent_at_perf, resend_count]``.
-        inflight: Dict[str, List[Any]] = {}
+        #: scenario key -> job, for every job sent and not yet answered.
+        inflight: Dict[str, Job] = {}
         try:
             while True:
-                self._fill_window(link, peers(), inflight, telemetry,
-                                  occupancy)
+                self._fill_window(link, peers(), inflight, telemetry)
                 if link.finishing and not inflight:
                     self._farewell(link)
                     return
-                doc = self._await_frame(link, inflight)
-                snap = doc.get("metrics")
-                if isinstance(snap, dict):
-                    link.worker_metrics = snap
+                doc = self._await_frame(link)
                 if doc["type"] != "result":
                     continue  # pongs and unknown types just prove liveness
                 # A malformed result is a WireError -> dead link ->
@@ -640,36 +567,19 @@ class SocketBackend(Backend):
                 result = decode_result(doc)
                 key = result["key"]
                 if inflight.pop(key, None) is None:
-                    # Duplicate answer to a job we resent and have since
-                    # settled; the submit loop dedups keys anyway.
+                    # An answer to no job in flight on this link: the
+                    # peer is outside the program, so drop it by key.
                     continue
                 link.inflight_jobs -= 1
-                metrics.inc_gauge("socket.inflight", -1)
-                if occupancy is not None:
-                    occupancy.change(-1)
+                if telemetry.enabled:
                     self._record_job(telemetry, link, result)
                 events.put(("result", link, (key, result["ok"], result["row"])))
         except Exception:  # noqa: BLE001 - any escape means this link is
             # done; anything short of reporting it dead would leave its
             # in-flight scenarios unresolved and submit() blocked forever.
-            inflight_jobs = [entry[0] for entry in inflight.values()]
-            events.put(("dead", link, (inflight_jobs, link.drain_jobs())))
-        finally:
-            if link.inflight_jobs:
-                # Death path: give the in-flight jobs back to the gauge
-                # so the fleet-wide level stays exact across lost links.
-                metrics.inc_gauge("socket.inflight", -link.inflight_jobs)
-                link.inflight_jobs = 0
-            if occupancy is not None:
-                report = link.worker_metrics or {}
-                telemetry.event("socket.worker", worker=link.address,
-                                connect_s=round(link.connect_s, 6),
-                                window=self.window,
-                                w_queue=report.get("queue"),
-                                w_done=report.get("done"),
-                                w_exec_s=report.get("exec_s"),
-                                w_up_s=report.get("up_s"),
-                                **occupancy.summary())
+            link.inflight_jobs = 0
+            events.put(("dead", link, (list(inflight.values()),
+                                       link.drain_jobs())))
 
     def _record_job(self, telemetry: Telemetry, link: _WorkerLink,
                     result: Dict[str, Any]) -> None:
@@ -700,29 +610,12 @@ class SocketBackend(Backend):
             attrs["inflight_s"] = round(time.perf_counter() - sent_perf, 6)
         telemetry.event("job", **attrs)
 
-    def _job_frame(self, job: Job, want_telemetry: bool) -> Dict[str, Any]:
-        """Build one ``job`` frame (shared by first send and resends, so
-        a resent job is byte-for-byte the same work order)."""
-        frame: Dict[str, Any] = {
-            "type": "job",
-            "key": job[0],
-            "spec": job[1].to_dict(),
-            # Wall clock on purpose: the driver and worker do not share
-            # a monotonic epoch, so cross-host diagnostics need civil
-            # time.  Never used for elapsed math on either side.
-            "sent_at": time.time(),  # repro: allow[D-wallclock]
-        }
-        if want_telemetry:
-            frame["telemetry"] = True
-        return frame
-
     def _fill_window(
         self,
         link: _WorkerLink,
         peers: Sequence[_WorkerLink],
-        inflight: Dict[str, List[Any]],
+        inflight: Dict[str, Job],
         telemetry: Telemetry,
-        occupancy: Optional[_Occupancy],
     ) -> None:
         """Top up the in-flight window, one ``job`` frame per queued
         scenario; block on the queue only when nothing is in flight.
@@ -738,86 +631,52 @@ class SocketBackend(Backend):
                 link.finishing = True
                 return
             key, spec, enqueued_at = item
-            job: Job = (key, spec)
-            if occupancy is not None:
-                occupancy.change(+1)
             serialize_start = time.perf_counter()
-            frame = self._job_frame(job, telemetry.enabled)
+            frame: Dict[str, Any] = {
+                "type": "job",
+                "key": key,
+                "spec": spec.to_dict(),
+                # Wall clock on purpose: the driver and worker do not
+                # share a monotonic epoch, so cross-host diagnostics
+                # need civil time.  Never used for elapsed math.
+                "sent_at": time.time(),  # repro: allow[D-wallclock]
+            }
+            if telemetry.enabled:
+                frame["telemetry"] = True
+            # In flight from here on: a failed send is lost in-flight
+            # work for the death report.
+            inflight[key] = (key, spec)
             try:
                 send_frame(link.sock, frame)
             except OSError as exc:
-                # Count it as lost in-flight work for the death report.
-                inflight[key] = [job, time.perf_counter(), 0]
                 raise _WorkerDied(str(exc)) from exc
-            sent_perf = time.perf_counter()
             if telemetry.enabled:
+                sent_perf = time.perf_counter()
                 link.phase_meta[key] = (
                     serialize_start - enqueued_at,
                     sent_perf - serialize_start,
                     sent_perf,
                 )
-            inflight[key] = [job, sent_perf, 0]
             link.inflight_jobs += 1
-            metrics.inc_gauge("socket.inflight", 1)
 
-    def _await_frame(self, link: _WorkerLink,
-                     inflight: Dict[str, List[Any]]) -> Dict[str, Any]:
+    def _await_frame(self, link: _WorkerLink) -> Dict[str, Any]:
         """One frame from the worker, with ping-based liveness checking.
 
         Reads go through the link's :class:`FrameReceiver
         <repro.runtime.backends.wire.FrameReceiver>`, so a timeout that
         lands mid-frame keeps the partial bytes buffered -- the follow-up
         read after the ping resumes the same frame instead of desyncing.
-        A worker that answers the ping but has starved a job past
-        ``job_timeout`` gets the job resent: connection-level liveness
-        cannot see a dropped frame, only per-job accounting can.
         """
         link.sock.settimeout(self.job_timeout)
         try:
             doc = link.reader.recv()
         except socket.timeout:
             doc = self._ping(link)
-            if doc is not None:
-                self._resend_stale(link, inflight)
         except (WireError, OSError) as exc:
             raise _WorkerDied(str(exc)) from exc
         if doc is None:
             raise _WorkerDied("connection closed")
         return doc
-
-    def _resend_stale(self, link: _WorkerLink,
-                      inflight: Dict[str, List[Any]]) -> None:
-        """Resend jobs outstanding past ``job_timeout`` on a live link.
-
-        The worker just proved liveness, so a stale job means its ``job``
-        frame (or its ``result`` answer) was lost in transit -- resend
-        it; a duplicate result is dropped here by key and again in the
-        submit loop.  A job lost :data:`MAX_RESENDS` times gives up on
-        the link instead.
-        """
-        telemetry = current()
-        now = time.perf_counter()
-        for key, entry in inflight.items():
-            job, sent_at, resends = entry
-            if now - sent_at < self.job_timeout:
-                continue
-            if resends >= self.MAX_RESENDS:
-                raise _WorkerDied(
-                    f"job {key[:12]} still outstanding after "
-                    f"{resends} resend(s)"
-                )
-            frame = self._job_frame(job, telemetry.enabled)
-            try:
-                send_frame(link.sock, frame)
-            except OSError as exc:
-                raise _WorkerDied(str(exc)) from exc
-            entry[1] = time.perf_counter()
-            entry[2] = resends + 1
-            link.resends += 1
-            _log.warning(kv("resend", worker=link.address, key=key[:12],
-                            attempt=resends + 1))
-            telemetry.event("socket.resend", worker=link.address,
-                            key=key[:12], attempt=resends + 1)
 
     def _ping(self, link: _WorkerLink) -> Optional[Dict[str, Any]]:
         try:

@@ -5,10 +5,10 @@ length followed by the 4-byte CRC32 of the body -- then that many bytes
 of UTF-8 JSON.  JSON keeps the protocol debuggable with ``nc``/``tcpdump``
 and version-skew tolerant (unknown fields are ignored); the length prefix
 makes frames self-delimiting over TCP's byte stream; the checksum turns
-in-flight byte corruption (a fault-injection ``corrupt``, a broken
-middlebox) into a loud :class:`WireError` instead of a silently wrong
-result row -- campaign rows must be a pure function of scenario content,
-so a frame that cannot prove its integrity is refused, never parsed.
+in-flight byte corruption (a broken middlebox) into a loud
+:class:`WireError` instead of a silently wrong result row -- campaign
+rows must be a pure function of scenario content, so a frame that cannot
+prove its integrity is refused, never parsed.
 Frames are modest (one scenario spec or one result row), so the cap
 below is generous.
 
@@ -27,26 +27,16 @@ type         direction  meaning
 ``result``   → driver   the answer to one ``job``: ``key`` + ``ok`` +
                         ``row`` + ``timing``, the sidecar (``queue_s``,
                         ``deser_s``, ``exec_s``, and ``perf`` cache stats
-                        when requested), + ``metrics``, the worker's
-                        compact self-report (below)
+                        when requested)
 ``ping``     driver →   liveness probe while a job is outstanding
-``pong``     → driver   liveness answer (sent even mid-execution); carries
-                        ``metrics`` like ``result``
+``pong``     → driver   liveness answer (sent even mid-execution)
 ``bye``      driver →   orderly end of session; worker closes the socket
 ===========  =========  ===================================================
 
-The ``metrics`` field on ``pong``/``result`` frames (wire v6) is the
-worker's compact self-report, measured on its own clocks: ``{"queue":
-<jobs waiting for the executor>, "done": <jobs executed>, "exec_s":
-<cumulative execute seconds>, "up_s": <seconds since worker start>}``.
-It feeds the driver's live view and per-worker stats; like the
-``timing`` sidecar it never touches ``row``.
-
-A frame is the unit of every fault: framing makes it one ``sendall``
-(one fault-injection point -- a dropped ``job`` frame costs that one
-scenario a resend), the CRC refuses a corrupted frame whole, and
-:func:`decode_job` / :func:`decode_result` refuse a structurally
-malformed one -- a peer never acts on half a frame.
+A frame is the unit of every fault: framing makes it one ``sendall``,
+the CRC refuses a corrupted frame whole, and :func:`decode_job` /
+:func:`decode_result` refuse a structurally malformed one -- a peer
+never acts on half a frame.
 
 Timestamps in frames are *diagnostic*: ``sent_at`` is driver wall clock
 (clocks across hosts are not comparable), while the ``timing`` sidecar
@@ -94,7 +84,11 @@ from typing import Any, Dict, Optional
 #: ``welcome`` no longer advertises a result shard -- a v6 peer would
 #: ignore the other side's frames and hang until ``job_timeout``, so the
 #: skew is refused at handshake.
-PROTOCOL_VERSION = 7
+#: v8: ``pong`` and ``result`` frames dropped the v6 ``metrics``
+#: snapshot; the driver keeps every per-worker number it shows itself
+#: -- a v7 driver would render blank worker-side columns against a v8
+#: worker, so the skew is refused at handshake.
+PROTOCOL_VERSION = 8
 
 #: Frame header: 4-byte body length + 4-byte CRC32 of the body, both
 #: unsigned big-endian.

@@ -85,11 +85,6 @@ class WorkerServer:
         self.log = log or (lambda *_: None)
         self.jobs_done = 0
         self.sessions = 0
-        #: Cumulative execute seconds across every job (all sessions),
-        #: measured on this worker's own monotonic clock -- the numerator
-        #: of the exec rate the driver's live view renders.
-        self.exec_seconds = 0.0
-        self._started = time.perf_counter()
         self._jobs_seen = 0
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
@@ -256,15 +251,8 @@ class WorkerServer:
                 if doc is None or doc["type"] == "bye":
                     return
                 if doc["type"] == "ping":
-                    # Wire v6: every pong piggybacks a compact metrics
-                    # snapshot, so each heartbeat doubles as a health
-                    # sample (queue depth, exec rate) for the driver's
-                    # live view -- no extra frames, no extra round trips.
                     with send_lock:
-                        send_frame(conn, {
-                            "type": "pong",
-                            "metrics": self.metrics_snapshot(jobs),
-                        })
+                        send_frame(conn, {"type": "pong"})
                 elif doc["type"] == "job":
                     # A malformed job is a WireError that drops the
                     # session before anything executes.
@@ -327,26 +315,6 @@ class WorkerServer:
                      protocol=PROTOCOL_VERSION))
         return True
 
-    def metrics_snapshot(
-        self, jobs: "Optional[queue.Queue]" = None
-    ) -> Dict[str, Any]:
-        """The compact worker-metrics snapshot piggybacked on ``pong``
-        and ``result`` frames (wire v6).
-
-        Keys: ``queue`` (jobs waiting in this session's executor queue),
-        ``done`` (jobs executed, all sessions), ``exec_s`` (cumulative
-        execute seconds), ``up_s`` (seconds since the worker process
-        started) -- enough for the driver to derive queue depth and exec
-        rate without another round trip.  Measured on the worker's own
-        clocks; never touches result rows.
-        """
-        return {
-            "queue": jobs.qsize() if jobs is not None else 0,
-            "done": self.jobs_done,
-            "exec_s": round(self.exec_seconds, 6),
-            "up_s": round(time.perf_counter() - self._started, 6),
-        }
-
     def _should_die(self) -> bool:
         if self.die_after_jobs is None:
             return False
@@ -370,16 +338,11 @@ class WorkerServer:
             key, ok, row, timing = self._run_job(doc, bool(doc.get("telemetry")))
             timing["queue_s"] = round(started - doc["_recv_perf"], 6)
             self.jobs_done += 1
-            self.exec_seconds += float(timing.get("exec_s") or 0.0)
             try:
-                # Wire v6: the result frame carries a metrics snapshot
-                # too, so a busy pipeline (which rarely times out into
-                # the heartbeat path) still feeds the live view.
                 with send_lock:
                     send_frame(conn, {
                         "type": "result", "key": key, "ok": ok, "row": row,
                         "timing": timing,
-                        "metrics": self.metrics_snapshot(jobs),
                     })
             except OSError:
                 return  # driver went away; nothing to report to

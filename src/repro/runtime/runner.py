@@ -26,13 +26,11 @@ fast with :class:`~repro.runtime.store.StoreLockError`.  Read-only probes
 
 from __future__ import annotations
 
-import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from ..obs import metrics
 from ..obs.spans import Telemetry, activate, current
 from .backends import Backend, SerialBackend
 from .scenario import ScenarioGrid, ScenarioSpec
@@ -107,10 +105,10 @@ class CampaignRunner:
             (byte-identical with telemetry on or off).
         live: render a live progress line (throughput, ETA, per-worker
             state) to stderr while the campaign runs -- a single-line TTY
-            redraw, plain ``live:`` append lines otherwise.  Powered by
-            the :mod:`~repro.obs.metrics` registry; a fresh registry is
-            activated for the run when none is.  Result rows are
-            unaffected (byte-identical with the live view on or off).
+            redraw, plain ``live:`` append lines otherwise.  It reads the
+            run's :class:`CampaignStats` and the backend's
+            ``live_workers()`` rows.  Result rows are unaffected
+            (byte-identical with the live view on or off).
     """
 
     def __init__(
@@ -129,10 +127,6 @@ class CampaignRunner:
         """Execute a campaign; returns rows in scenario order."""
         telemetry, owned_telemetry = self._resolve_telemetry()
         with ExitStack() as stack:
-            if self.live and not metrics.current().enabled:
-                # The live view needs a registry to read; activate a
-                # fresh one unless the caller already activated theirs.
-                stack.enter_context(metrics.activate(metrics.MetricsRegistry()))
             if telemetry is None:
                 # No telemetry of our own: run under whatever is already
                 # active (usually the disabled default; maybe a caller's).
@@ -144,13 +138,7 @@ class CampaignRunner:
                     stack.callback(telemetry.close)
                 stack.enter_context(activate(telemetry))
                 active = telemetry
-            start = time.perf_counter()
-            result = self._run(scenarios, active)
-            wall_s = time.perf_counter() - start
-            if wall_s > 0:
-                metrics.set_gauge("campaign.rows_per_s",
-                                  round(result.stats.total / wall_s, 2))
-        return result
+            return self._run(scenarios, active)
 
     def _run(self, scenarios: ScenarioSource,
              telemetry: Telemetry) -> CampaignResult:
@@ -181,12 +169,10 @@ class CampaignRunner:
                     stats.deduplicated = (
                         len(keyed) - len(results) - len(pending)
                     )
-            metrics.set_gauge("campaign.total", stats.total)
-            metrics.set_gauge("campaign.cached", stats.cached)
             reporter = None
             if self.live:
                 from ..obs.live import LiveReporter
-                reporter = LiveReporter(len(pending), backend=backend)
+                reporter = LiveReporter(stats, len(pending), backend=backend)
             try:
                 if reporter is not None:
                     reporter.start()
@@ -195,12 +181,10 @@ class CampaignRunner:
                         results[key] = row
                         if ok:
                             stats.executed += 1
-                            metrics.inc("campaign.completed")
                             if self.store is not None:
                                 self.store.put(key, row)
                         else:
                             stats.failed += 1
-                            metrics.inc("campaign.failed")
                 finally:
                     if reporter is not None:
                         reporter.stop()

@@ -225,7 +225,6 @@ class ResultStore:
         # it is held across the whole campaign, and every telemetry/
         # metrics lock acquired meanwhile must nest inside it.
         lockwatch.lock_acquired(self.WRITER_LOCK_NAME)
-        metrics.inc("store.lock_acquisitions")
 
     def _acquire_lock_exclusive_create(self) -> None:
         """Fallback lock for platforms without ``fcntl``: atomic

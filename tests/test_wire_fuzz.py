@@ -98,9 +98,7 @@ def random_result_frame(rng: random.Random):
     return {"type": "result", "key": "%064x" % rng.getrandbits(256),
             "ok": rng.random() < 0.9,
             "row": {"agreed": True, "payload": random_json(rng)},
-            "timing": {"exec_s": rng.uniform(0, 1)},
-            "metrics": {"queue": rng.randrange(0, 8),
-                        "done": rng.randrange(0, 10**4)}}
+            "timing": {"exec_s": rng.uniform(0, 1)}}
 
 
 def without(doc, field):
