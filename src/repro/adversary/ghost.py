@@ -6,16 +6,18 @@ selectively.  :class:`GhostRunner` hosts protocol coroutines for the faulty
 processes, feeding them the messages the adversary chooses and collecting
 their outgoing traffic for the adversary to filter, mutate, or drop.
 
-Faulty-to-faulty traffic never touches the simulated network (the engine
-only routes what the adversary explicitly emits), so the runner routes it
-internally with the same one-round latency as the real network.
+Each ghost reads its round through the engine's delivery
+(:meth:`~repro.net.adversary.AdversaryView.inbox`), as an honest process
+does.  Faulty-to-faulty traffic never touches the simulated network (the
+engine only routes what the adversary explicitly emits), so the runner
+routes it internally with the same one-round latency as the real network.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Set
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Sequence, Set
 
-from ..net.adversary import AdversaryWorld
+from ..net.adversary import AdversaryView, AdversaryWorld
 from ..net.context import ProcessContext
 from ..net.message import Broadcast, Envelope
 from ..net.protocol import Idle
@@ -51,7 +53,9 @@ class GhostRunner:
         #: Steps taken so far, and each idling ghost's wake step.
         self._steps = 0
         self._wake: Dict[int, int] = {}
-        self._internal_queue: List[Envelope] = []
+        #: recipient -> the ghost-to-ghost envelopes to it from the last
+        #: step, in send order.
+        self._internal: Dict[int, List[Envelope]] = {}
         for pid in self.pids:
             ctx = ProcessContext(
                 pid=pid, n=world.n, t=world.t, signer=world.signer
@@ -73,32 +77,36 @@ class GhostRunner:
             outgoing.extend(self._advance(pid, None))
         return self._split_internal(outgoing)
 
-    def step(self, external_inbox: List[Envelope]) -> List[Envelope]:
-        """Feed last round's inbox (external + internal) and collect sends.
+    def step(self, view: AdversaryView) -> List[Envelope]:
+        """Feed every listening ghost its delivery of the previous round
+        and collect the ghosts' sends.
 
-        One pass bins the round's envelopes by recipient, each ghost's
-        bin in delivery order: external first, then internal.  A ghost
-        that yielded ``Idle(m)`` is skipped for ``m - 1`` steps and then
-        resumed with ``None``, as the engine does with honest processes.
+        ``view`` is that round's :class:`AdversaryView`, and each ghost
+        reads :meth:`AdversaryView.inbox`: the round's honest envelopes to
+        it, then its ghost-to-ghost ones, each in send order -- the
+        engine's delivery, so its shared reads are shared with the
+        round's other readers.  A ghost that yielded ``Idle(m)`` is
+        skipped for ``m - 1`` steps and then resumed with ``None``, as
+        the engine does with honest processes.
         """
         self._steps += 1
-        listening = [pid for pid in self.pids if pid not in self._finished
-                     and self._wake.get(pid, 0) <= self._steps]
-        delivered: Dict[int, List[Envelope]] = {
-            pid: [] for pid in listening if pid not in self._wake}
-        for inbox in (external_inbox, self._internal_queue):
-            for env in inbox:
-                bin_ = delivered.get(env.recipient)
-                if bin_ is not None:
-                    bin_.append(env)
-        self._internal_queue = []
+        internal, self._internal = self._internal, {}
         outgoing: List[Envelope] = []
-        for pid in listening:
-            self._wake.pop(pid, None)
-            outgoing.extend(self._advance(pid, delivered.get(pid)))
+        for pid in self.pids:
+            if pid in self._finished:
+                continue
+            wake = self._wake.get(pid)
+            if wake is None:
+                inbox = view.inbox(pid, internal.get(pid, ()))
+            elif wake <= self._steps:
+                del self._wake[pid]
+                inbox = None
+            else:
+                continue
+            outgoing.extend(self._advance(pid, inbox))
         return self._split_internal(outgoing)
 
-    def _advance(self, pid: int, inbox: Optional[List[Envelope]]) -> List[Envelope]:
+    def _advance(self, pid: int, inbox: Optional[Sequence[Envelope]]) -> List[Envelope]:
         """One ghost round; its broadcasts come back as ``n`` envelopes
         each, since the adversary filters and emits per envelope."""
         try:
@@ -121,12 +129,14 @@ class GhostRunner:
         return outgoing
 
     def _split_internal(self, outgoing: List[Envelope]) -> List[Envelope]:
-        """Queue ghost-to-ghost messages internally; return the rest."""
+        """Hold ghost-to-ghost messages for the next step, binned by
+        recipient; return the rest."""
         external: List[Envelope] = []
         faulty = self.world.faulty_ids
+        internal = self._internal
         for env in outgoing:
             if env.recipient in faulty:
-                self._internal_queue.append(env)
+                internal.setdefault(env.recipient, []).append(env)
             else:
                 external.append(env)
         return external

@@ -83,8 +83,9 @@ class StallingAdversary(Adversary):
         return outgoing
 
     def _broadcast_all(self, tag: tuple, body: Any) -> List[Envelope]:
+        payload = (tag, body)
         return [
-            Envelope(pid, j, (tag, body))
+            Envelope(pid, j, payload)
             for pid in sorted(self.world.faulty_ids)
             for j in range(self.world.n)
         ]
@@ -104,14 +105,13 @@ class StallingAdversary(Adversary):
 
     def _attack_conciliation(self, tag: tuple) -> List[Envelope]:
         """Every faulty process poses as a leader and feeds camp A a value
-        below every honest proposal; min-propagation splits the camps."""
-        n = self.world.n
+        below every honest proposal; min-propagation splits the camps.
+        Each sends one payload object to all of camp A."""
+        camp_a = sorted(self.camp_a)
         claimed_listen = tuple(sorted(self.world.faulty_ids))[:1]
         outgoing = []
         for pid in sorted(self.world.faulty_ids):
             listen_claim = tuple(sorted(set(claimed_listen) | {pid}))
-            for j in range(n):
-                if j in self.camp_a:
-                    body = (LOW_VALUE, listen_claim)
-                    outgoing.append(Envelope(pid, j, (tag, body)))
+            payload = (tag, (LOW_VALUE, listen_claim))
+            outgoing.extend(Envelope(pid, j, payload) for j in camp_a)
         return outgoing

@@ -45,24 +45,20 @@ class _GhostBackedAdversary(Adversary):
 
     def bind(self, world: AdversaryWorld) -> None:
         super().bind(world)
-        self._started = False
-        self._last_inbox: List[Envelope] = []
+        self._last_view: Optional[AdversaryView] = None
 
     def _make_runner(self) -> GhostRunner:
         return GhostRunner(self.world, self.world.faulty_ids)
 
-    def _ghost_round(self, view: AdversaryView) -> List[Envelope]:
-        """Advance ghosts one round; returns their raw outgoing envelopes."""
-        if not self._started:
-            self._runner = self._make_runner()
-            self._started = True
-            return self._runner.start()
-        return self._runner.step(self._last_inbox)
-
     def step(self, view: AdversaryView) -> List[Envelope]:
-        """Advance the ghosts and emit their (filtered) outgoing envelopes."""
-        outgoing = self._ghost_round(view)
-        self._last_inbox = list(view.inbox_to_faulty)
+        """Advance the ghosts over the previous round and emit their
+        (filtered) outgoing envelopes."""
+        if self._last_view is None:
+            self._runner = self._make_runner()
+            outgoing = self._runner.start()
+        else:
+            outgoing = self._runner.step(self._last_view)
+        self._last_view = view
         return self.filter_outgoing(outgoing, view)
 
     def filter_outgoing(
@@ -152,8 +148,7 @@ class SplitWorldAdversary(Adversary):
         honest = world.honest_ids
         half = len(honest) // 2
         self.group_a = frozenset(honest[:half])
-        self._started = False
-        self._last_inbox: List[Envelope] = []
+        self._last_view: Optional[AdversaryView] = None
 
     def _start_runners(self) -> None:
         faulty = self.world.faulty_ids
@@ -163,15 +158,14 @@ class SplitWorldAdversary(Adversary):
         self.runner_b = GhostRunner(self.world, faulty, inputs=inputs_b)
 
     def step(self, view: AdversaryView) -> List[Envelope]:
-        if not self._started:
+        if self._last_view is None:
             self._start_runners()
-            self._started = True
             out_a = self.runner_a.start()
             out_b = self.runner_b.start()
         else:
-            out_a = self.runner_a.step(self._last_inbox)
-            out_b = self.runner_b.step(list(self._last_inbox))
-        self._last_inbox = list(view.inbox_to_faulty)
+            out_a = self.runner_a.step(self._last_view)
+            out_b = self.runner_b.step(self._last_view)
+        self._last_view = view
         kept = [env for env in out_a if env.recipient in self.group_a]
         kept.extend(
             env for env in out_b if env.recipient not in self.group_a
@@ -182,17 +176,26 @@ class SplitWorldAdversary(Adversary):
 def inverted_prediction_mutator(
     classify_tag: tuple = ("classify",),
 ) -> Callable[[Envelope, AdversaryWorld, int], Optional[Envelope]]:
-    """Mutator replacing classification votes with the inverted truth."""
+    """Mutator replacing classification votes with the inverted truth.
+
+    The lie depends on the world alone, so it is built once per world and
+    every vote carries the same payload object.
+    """
+    built_for: Optional[AdversaryWorld] = None
+    lie: Any = None
 
     def mutate(
         env: Envelope, world: AdversaryWorld, round_no: int
     ) -> Optional[Envelope]:
+        nonlocal built_for, lie
         if env.tag() != classify_tag:
             return env
-        lie = tuple(
-            1 if j in world.faulty_ids else 0 for j in range(world.n)
-        )
-        return Envelope(env.sender, env.recipient, (classify_tag, lie))
+        if built_for is not world:
+            built_for = world
+            lie = (classify_tag, tuple(
+                1 if j in world.faulty_ids else 0 for j in range(world.n)
+            ))
+        return Envelope(env.sender, env.recipient, lie)
 
     return mutate
 
@@ -222,35 +225,41 @@ class RandomNoiseAdversary(Adversary):
             r = getrandbits(k)
         return r
 
-    def _junk(self) -> Any:
-        choice = self._below(6)
-        if choice == 0:
-            return self._below(1_000_000)
-        if choice == 1:
-            # n draws of randrange(2), each a getrandbits(2) redrawn
-            # until it is below 2.
-            getrandbits = self.rng.getrandbits
-            votes: List[int] = []
-            while len(votes) < self.world.n:
-                r = getrandbits(2)
-                if r < 2:
-                    votes.append(r)
-            return ("classify",), tuple(votes)
-        if choice == 2:
-            return (("ba", 1, "gc1", "r1"), self._below(2))
-        if choice == 3:
-            return None
-        if choice == 4:
-            return ("x" * (1 + self._below(7)), [1, 2, {3: 4}])
-        return ((), ())
-
     def step(self, view: AdversaryView) -> List[Envelope]:
-        outgoing = []
+        # The hot draws are :meth:`_below` spelled inline, on the same
+        # ``getrandbits`` calls in the same order: ``randrange(n)`` for the
+        # recipient, ``randrange(6)`` for the kind of junk, and n draws of
+        # ``randrange(2)`` for a classification vote.
+        getrandbits = self.rng.getrandbits
         n = self.world.n
+        n_bits = n.bit_length()
+        outgoing = []
         for pid in sorted(self.world.faulty_ids):
             for _ in range(self.messages_per_faulty):
-                recipient = self._below(n)
-                outgoing.append(Envelope(pid, recipient, self._junk()))
+                recipient = getrandbits(n_bits)
+                while recipient >= n:
+                    recipient = getrandbits(n_bits)
+                choice = getrandbits(3)
+                while choice >= 6:
+                    choice = getrandbits(3)
+                if choice == 0:
+                    junk: Any = self._below(1_000_000)
+                elif choice == 1:
+                    votes: List[int] = []
+                    while len(votes) < n:
+                        r = getrandbits(2)
+                        if r < 2:
+                            votes.append(r)
+                    junk = (("classify",), tuple(votes))
+                elif choice == 2:
+                    junk = (("ba", 1, "gc1", "r1"), self._below(2))
+                elif choice == 3:
+                    junk = None
+                elif choice == 4:
+                    junk = ("x" * (1 + self._below(7)), [1, 2, {3: 4}])
+                else:
+                    junk = ((), ())
+                outgoing.append(Envelope(pid, recipient, junk))
         return outgoing
 
 

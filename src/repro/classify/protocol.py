@@ -12,8 +12,9 @@ bits.
 
 Every recipient sums the same honest vectors, so the vote is read through
 :func:`~repro.net.message.reduce_by_tag` with the pure reducer
-:func:`tally` (argument ``n``): a round computes it once for every
-recipient no adversary vector reaches, which takes the shared part of the
+:func:`tally` (argument ``n``): a round computes it once per view -- for
+every recipient no adversary vector reaches, and once for each group the
+adversary sent the same vectors -- which takes the shared part of the
 vote from ``Theta(n^3)`` to ``Theta(n^2)`` operations.
 """
 

@@ -28,9 +28,10 @@ least ``n - 2t >= t + 1`` copies of ``v`` while no other value can reach
 
 Every recipient of a round counts the same honest broadcasts, so the counts
 are read through :func:`~repro.net.message.reduce_by_tag` with the pure
-reducer :func:`body_counts`: the round computes them once for every
-recipient no adversary envelope under the tag reaches, and all of those
-share the one (read-only) dict.
+reducer :func:`body_counts`: the round computes them once per view --
+for every recipient no adversary envelope under the tag reaches, and
+once for each group the adversary sent the same messages -- and the
+recipients with that view share the one (read-only) dict.
 """
 
 from __future__ import annotations

@@ -84,6 +84,15 @@ class AdversaryView:
     def messages_to(self, pid: int) -> List[Envelope]:
         return [e for e in self.honest_outgoing if e.recipient == pid]
 
+    def inbox(self, pid: int, extra: Sequence[Envelope] = ()) -> Sequence[Envelope]:
+        """``pid``'s delivery of this round as the engine builds it for an
+        honest process: the round's honest envelopes to ``pid``, then
+        ``extra``.  Ghosts read their rounds through it, so their
+        :func:`~repro.net.message.reduce_by_tag` reads share results with
+        every reader of the round whose view is the same.  Needs the
+        engine's view, whose ``honest_outgoing`` is the round's traffic."""
+        return self.honest_outgoing.inbox(pid, extra)  # type: ignore[attr-defined]
+
 
 class Adversary:
     """Base strategy: silent faulty processes (crash at time zero).

@@ -19,10 +19,13 @@ honest sends in sender order (each sender's in the order it yielded them),
 then the adversary's envelopes in the order it emitted them.
 
 The protocols are all-to-all, so most recipients of a round read the same
-honest messages under a tag.  :func:`reduce_by_tag` lets them share the
-read itself: a recipient whose view under the tag is exactly the round's
-broadcasts gets the one result the round computed for every such
-recipient, instead of recounting the same bodies.
+messages under a tag.  :func:`reduce_by_tag` lets them share the read
+itself: recipients whose views under the tag are the same -- the round's
+honest broadcasts, then the same adversary messages, compared by sender
+and body identity -- get the one result the round computed for that view,
+instead of recounting the same bodies.  Ghosts (faulty processes running
+the honest protocol, see :mod:`repro.adversary.ghost`) read through the
+same :class:`Inbox` views, so they share reads too.
 
 Payload convention
 ------------------
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Any,
     Callable,
@@ -189,8 +193,13 @@ class RoundTraffic(_Lazy):
         #: tag -> ``(pairs, first per sender)`` over the broadcasts;
         #: ``None`` until built or when a tag is unhashable.
         self._index: Optional[Dict[Any, Tuple[Pairs, Pairs]]] = None
-        #: ``(tag, reduce, args)`` -> the shared result (see :meth:`reduced`).
-        self._reduced: Dict[Tuple[Any, Callable[..., Any], tuple], Any] = {}
+        self._indexed = False
+        #: ``(tag, reduce, args)``, plus the own pairs' identities when a
+        #: view has them -> the shared result (see :meth:`reduced`).
+        self._reduced: Dict[tuple, Any] = {}
+        #: The own pairs every key above was built from, kept alive so
+        #: that no ``id`` in a key is reused while the traffic lives.
+        self._held: List[Sequence[Tuple[int, Any]]] = []
 
     def add(self, sends: Iterable[Send]) -> None:
         """Append one process's (validated) sends for this round."""
@@ -225,12 +234,23 @@ class RoundTraffic(_Lazy):
         first access."""
         return _Addressed(self, recipients)
 
+    def inbox(self, recipient: int, extra: Sequence[Envelope] = ()) -> "Inbox":
+        """``recipient``'s delivery of this round with ``extra`` after the
+        honest envelopes, indexed first if no delivery has indexed the
+        round yet (one that no honest process listened to)."""
+        self.index_tags()
+        return Inbox(self, recipient, extra)
+
     def index_tags(self) -> None:
-        """Build the round's tag index over the broadcasts, once.
+        """Build the round's tag index over the broadcasts, once; later
+        calls do nothing.
 
         An unhashable broadcast tag leaves the round unindexed, and every
         :class:`Inbox` then scans its expanded envelopes instead.
         """
+        if self._indexed:
+            return
+        self._indexed = True
         index: Dict[Any, Tuple[Pairs, Pairs]] = {}
         try:
             for item in self.sends:
@@ -273,22 +293,37 @@ class RoundTraffic(_Lazy):
                 return pairs, _first_per_sender(pairs)
         return entry
 
-    def reduced(self, tag: Any, reduce: Callable[..., Any], args: tuple) -> Any:
-        """``reduce(first-per-sender broadcast pairs under tag, *args)``,
-        computed once per round per ``(tag, reduce, args)`` and shared;
-        :data:`_UNSHARED` when the round is unindexed or ``tag`` or
-        ``args`` is unhashable."""
+    def reduced(self, tag: Any, reduce: Callable[..., Any], args: tuple,
+                own: Sequence[Tuple[int, Any]] = ()) -> Any:
+        """``reduce(first-per-sender broadcast pairs under tag + own,
+        *args)``, computed once per round per ``(tag, reduce, args)`` and
+        distinct ``own`` and shared; :data:`_UNSHARED` when the round is
+        unindexed or ``tag`` or ``args`` is unhashable.
+
+        ``own`` are a view's pairs beyond the broadcasts, which the caller
+        dedupes per sender.  They are told apart by the identity of each
+        sender and body, never by equality: ``1 == True``, yet a reducer
+        may tell them apart.
+        """
         index = self._index
         if index is None:
             return _UNSHARED
-        key = (tag, reduce, args)
+        if own:
+            key: tuple = (tag, reduce, args,
+                          tuple(map(id, chain.from_iterable(own))))
+        else:
+            key = (tag, reduce, args)
         try:
             return self._reduced[key]
         except KeyError:
             pass
         except TypeError:
             return _UNSHARED
-        result = reduce(list(index.get(tag, _EMPTY_ENTRY)[1]), *args)
+        pairs = list(index.get(tag, _EMPTY_ENTRY)[1])
+        if own:
+            pairs.extend(own)
+            self._held.append(own)
+        result = reduce(pairs, *args)
         self._reduced[key] = result
         return result
 
@@ -317,23 +352,24 @@ class _Addressed(_Lazy):
 
 
 class Inbox(_Addressed):
-    """What one honest process receives in one round.
+    """What one process receives in one round.
 
     A view over the round's :class:`RoundTraffic` -- its broadcasts and
-    tag index are shared by every recipient -- plus this recipient's
-    adversary envelopes.  As a sequence it is the recipient's envelopes in
-    delivery order, built on first access; :meth:`by_tag` and
-    :meth:`by_tag_all` answer from the index without building them.
+    tag index are shared by every recipient -- plus ``extra``: an honest
+    recipient's adversary envelopes, or a ghost's ghost-to-ghost ones.
+    As a sequence it is the recipient's envelopes in delivery order,
+    built on first access; :meth:`by_tag` and :meth:`by_tag_all` answer
+    from the index without building them.
     """
 
     __slots__ = ("recipient",)
 
     def __init__(self, traffic: RoundTraffic, recipient: int,
-                 faulty: Sequence[Envelope] = ()) -> None:
+                 extra: Sequence[Envelope] = ()) -> None:
         self._items = None
         self._traffic = traffic
         self._recipients = (recipient,)
-        self._extra = faulty
+        self._extra = extra
         self.recipient = recipient
 
     def __len__(self) -> int:
@@ -379,14 +415,15 @@ class Inbox(_Addressed):
 
     def reduce_by_tag(self, tag: Any, reduce: Callable[..., Any],
                       args: tuple) -> Any:
-        """:func:`reduce_by_tag` on this inbox: the round's shared result
-        unless a point-to-point or adversary envelope under ``tag`` makes
-        this view its own."""
+        """:func:`reduce_by_tag` on this inbox: the round's result for
+        this view's own pairs -- the first per sender of its ``extra``
+        envelopes under ``tag`` -- unless an honest point-to-point
+        envelope under ``tag`` makes the view its own."""
         traffic = self._traffic
         direct = traffic.direct.get(self.recipient)
-        if not ((direct and _scan(direct, tag))
-                or (self._extra and _scan(self._extra, tag))):
-            result = traffic.reduced(tag, reduce, args)
+        if not (direct and _scan(direct, tag)):
+            own = _first_per_sender(_scan(self._extra, tag)) if self._extra else ()
+            result = traffic.reduced(tag, reduce, args, own)
             if result is not _UNSHARED:
                 return result
         return reduce(self.by_tag(tag), *args)
@@ -484,12 +521,14 @@ def reduce_by_tag(inbox: Iterable[Envelope], tag: Tuple,
                   reduce: Callable[..., Any], *args: Any) -> Any:
     """``reduce(by_tag(inbox, tag), *args)``, shared across the round.
 
-    An honest inbox that no point-to-point or adversary envelope under
-    ``tag`` reaches sees exactly the round's honest broadcasts under it,
-    as every other such inbox does; for those the result is computed once
-    per round per ``(tag, reduce, args)`` and every one of them gets the
-    same object.  Any other inbox, and a plain envelope list (a ghost's),
-    computes its own.  Hence the contract:
+    An inbox that no honest point-to-point envelope under ``tag`` reaches
+    sees the round's honest broadcasts under it, then its own pairs: the
+    first per sender of its other envelopes under ``tag`` (the
+    adversary's, or a ghost's ghost-to-ghost ones).  The result is
+    computed once per round per ``(tag, reduce, args)`` and distinct own
+    pairs, told apart by sender and body identity, and every inbox with
+    that view gets the same object.  Any other inbox, and a plain
+    envelope list, computes its own.  Hence the contract:
 
     * ``reduce`` is a module-level pure function of the pairs and
       ``args`` -- the cache keys on the function object, so a fresh
@@ -497,7 +536,12 @@ def reduce_by_tag(inbox: Iterable[Envelope], tag: Tuple,
     * ``args`` are hashable, and equal ``args`` mean the same result
       (unhashable ``args`` just compute per recipient);
     * the result is read-only: it may be the object other recipients
-      hold, so callers never mutate it.
+      hold, so callers never mutate it;
+    * adversary code never mutates a payload it emitted until every
+      reader of that round has read it (the honest processes, then the
+      ghosts in the next adversary step), since a result computed from
+      the payload may be reused; :class:`~repro.net.adversary.AdversaryView`
+      states the same rule for honest traffic.
     """
     if type(inbox) is Inbox:
         return inbox.reduce_by_tag(tag, reduce, args)

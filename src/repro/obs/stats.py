@@ -472,7 +472,13 @@ def render_stats(rows: Sequence[Dict[str, Any]],
 
 
 def main_stats(path: Union[str, Path]) -> int:
-    """``python -m repro stats TELEMETRY``: render a sink file; exit 0."""
+    """``python -m repro stats TELEMETRY``: render a sink file; exit 0.
+
+    Exit 2 when the file is missing or unreadable, or when several runs
+    wrote it: ``--telemetry`` appends, and each run's clock restarts at
+    its own ``meta`` row, so their rows cannot be rendered as one
+    campaign.
+    """
     import os
     import sys
 
@@ -483,6 +489,11 @@ def main_stats(path: Union[str, Path]) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    runs = sum(1 for row in rows if row["kind"] == "meta")
+    if runs > 1:
+        print(f"error: {path} holds {runs} runs (one meta row each); "
+              "give each run its own --telemetry path", file=sys.stderr)
         return 2
     print(render_stats(rows, source=str(path),
                        sink_bytes=os.path.getsize(path)))

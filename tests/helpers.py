@@ -6,9 +6,10 @@ from typing import Any, Callable, Dict, Iterable, Optional, Sequence
 
 from repro.core.api import run_protocol
 from repro.crypto.keys import KeyStore
-from repro.net.adversary import Adversary
+from repro.net.adversary import Adversary, AdversaryView
 from repro.net.context import ProcessContext
 from repro.net.engine import ExecutionResult
+from repro.net.message import RoundTraffic
 
 
 def run_sub(
@@ -31,6 +32,21 @@ def run_sub(
         keystore=keystore,
         scenario=scenario,
         max_rounds=max_rounds,
+    )
+
+
+def round_view(n: int, faulty_ids: Iterable[int],
+               sends: Dict[int, Sequence[Any]]) -> AdversaryView:
+    """One round's view as the engine hands it to the adversary: the
+    honest ``sends`` of each sender, added in pid order, as the round's
+    traffic.  Ghosts read their round through it."""
+    traffic = RoundTraffic(n)
+    for pid in sorted(sends):
+        traffic.add(sends[pid])
+    return AdversaryView(
+        round_no=1, honest_outgoing=traffic,
+        inbox_to_faulty=traffic.addressed_to(frozenset(faulty_ids)),
+        honest_sends=traffic.sends,
     )
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,14 +18,17 @@ from repro.adversary import (
     inverted_prediction_mutator,
 )
 from repro.adversary.registry import adversary_names
+from repro.core import api as core_api
 from repro.core.wrapper import MODES
+from repro.crypto.keys import KeyStore
 from repro.gradecast import graded_consensus
 from repro.net.adversary import AdversaryView, AdversaryWorld
-from repro.net.message import Envelope, tagged
+from repro.net.engine import Network
+from repro.net.message import Broadcast, Envelope, tagged
 from repro.runtime.execute import execute_spec
 from repro.runtime.scenario import ScenarioSpec
 
-from helpers import assert_agreement, run_sub
+from helpers import assert_agreement, round_view, run_sub
 
 TAG = ("gc",)
 
@@ -66,8 +70,10 @@ class TestGhostRunner:
         world = self.make_world()
         runner = GhostRunner(world, world.faulty_ids)
         runner.start()
-        assert len(runner._internal_queue) == 2 * 2  # ghost-to-ghost queued
-        outgoing = runner.step([])
+        # Ghost-to-ghost messages are held, binned by recipient.
+        assert {pid: len(envs) for pid, envs in runner._internal.items()} == {
+            3: 2, 4: 2}
+        outgoing = runner.step(round_view(5, world.faulty_ids, {}))
         # Ghosts got each other's round-1 messages internally; with only 2
         # votes they cannot lock, so round 2 is silent.
         assert outgoing == []
@@ -82,14 +88,21 @@ class TestGhostRunner:
 
         runner = GhostRunner(world, world.faulty_ids, factory=record)
         runner.start()
-        external = [Envelope(0, 4, "a"), Envelope(1, 3, "b"),
-                    Envelope(2, 4, "c"), Envelope(0, 3, "d")]
-        runner.step(external)
-        # External envelopes first, then ghost-to-ghost, each in order.
-        assert inboxes[3] == [external[1], external[3], Envelope(3, 3, (("r",), 3)),
-                              Envelope(4, 3, (("r",), 4))]
-        assert inboxes[4] == [external[0], external[2], Envelope(3, 4, (("r",), 3)),
-                              Envelope(4, 4, (("r",), 4))]
+        vote = Broadcast(1, (("b",), 1))
+        runner.step(round_view(5, world.faulty_ids, {
+            0: [Envelope(0, 4, "a"), Envelope(0, 3, "d")],
+            1: [vote],
+            2: [Envelope(2, 4, "c")],
+        }))
+        # The round's honest envelopes first, then ghost-to-ghost, each
+        # in send order.
+        assert list(inboxes[3]) == [
+            Envelope(0, 3, "d"), Envelope(1, 3, vote.payload),
+            Envelope(3, 3, (("r",), 3)), Envelope(4, 3, (("r",), 4))]
+        assert list(inboxes[4]) == [
+            Envelope(0, 4, "a"), Envelope(1, 4, vote.payload),
+            Envelope(2, 4, "c"),
+            Envelope(3, 4, (("r",), 3)), Envelope(4, 4, (("r",), 4))]
 
     def test_input_overrides_via_builder(self):
         world = self.make_world()
@@ -166,6 +179,57 @@ def test_rows_of_every_registered_adversary_are_unchanged():
     blob = json.dumps(rows, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == (
         ALL_ADVERSARY_ROWS_SHA256)
+
+
+def test_reference_delivery_gives_the_same_rows(monkeypatch):
+    """Shared reads change no row.
+
+    The reference hands every honest process and every ghost a plain
+    list of its envelopes, so no read is shared, and builds
+    ``KeyStore(cache=False)``, so the key store's memo tables are off.
+    Over n in {4, 7}, both modes, every registered adversary, B in
+    {0, n}, the split and ones patterns and seed 0 (112 executions) its
+    rows must equal the normal path's.  This catches the mutant that
+    ignores a view's own pairs and hands every recipient the honest-only
+    result: it changes 45 of these 112 rows (288 of 672 on a grid that
+    adds n in {5, 10}, the alternating pattern and seed 1).  A mutant
+    that keys own pairs by equality instead of identity passes here,
+    since no registered adversary sends equal but distinct bodies;
+    ``tests/test_inbox.py``'s identity test catches that one.
+    """
+    specs = [
+        ScenarioSpec(n=n, t=(n - 1) // 3, f=(n - 1) // 3, budget=budget,
+                     mode=mode, adversary=adversary, pattern=pattern, seed=0)
+        for mode in MODES
+        for adversary in adversary_names()
+        for n in (4, 7)
+        for budget in (0, n)
+        for pattern in ("split", "ones")
+    ]
+    fast = [execute_spec(spec) for spec in specs]
+
+    plain = Counter()
+    deliver, ghost_inbox = Network._deliver, AdversaryView.inbox
+
+    def listed_deliver(self, *args):
+        plain["honest"] += 1
+        return {pid: list(inbox) for pid, inbox in deliver(self, *args).items()}
+
+    def listed_ghost_inbox(self, pid, extra=()):
+        plain["ghost"] += 1
+        return list(ghost_inbox(self, pid, extra))
+
+    def uncached_keystore(n, seed=0, cache=True):
+        plain["keystore"] += 1
+        return KeyStore(n, seed=seed, cache=False)
+
+    monkeypatch.setattr(Network, "_deliver", listed_deliver)
+    monkeypatch.setattr(AdversaryView, "inbox", listed_ghost_inbox)
+    monkeypatch.setattr(core_api, "KeyStore", uncached_keystore)
+    reference = [execute_spec(spec) for spec in specs]
+    assert all(plain[path] for path in ("honest", "ghost", "keystore")), plain
+    assert len(specs) == 112
+    assert reference == fast
 
 
 class TestCrashAdversary:

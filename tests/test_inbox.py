@@ -14,7 +14,7 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from repro.adversary import ScriptedAdversary
+from repro.adversary import ScriptedAdversary, SplitWorldAdversary
 from repro.core.api import run_protocol
 from repro.crypto import Signature
 from repro.crypto.keys import signature_repr_len
@@ -164,10 +164,12 @@ def senders_below(pairs, bound):
     return tuple(sender for sender, _ in pairs if sender < bound)
 
 
-def shares_view(sends, honest, faulty_out, pid, tag):
-    """Whether ``pid`` sees exactly the round's honest broadcasts under
-    ``tag``: the round is indexed, ``tag`` is hashable, and no honest
-    point-to-point or adversary envelope under ``tag`` reaches ``pid``."""
+def view_key(sends, honest, faulty_out, pid, tag):
+    """What ``pid``'s read under ``tag`` is shared by: ``None`` when it
+    reads alone -- the round is unindexed, ``tag`` is unhashable, or an
+    honest point-to-point envelope under ``tag`` reaches ``pid`` --
+    otherwise its view: the first per sender of the adversary's envelopes
+    to it under ``tag``, taken as ``(sender, body)`` identities."""
     items = [item for p in honest for item in sends[p]]
     try:
         hash(tag)
@@ -175,11 +177,12 @@ def shares_view(sends, honest, faulty_out, pid, tag):
             if isinstance(item, Broadcast):
                 hash(item.parts()[0])
     except TypeError:
-        return False
-    own = [item for item in items if isinstance(item, Envelope)]
-    own += faulty_out
-    return not any(env.recipient == pid and env.parts()[0] == tag
-                   for env in own)
+        return None
+    if any(isinstance(item, Envelope) and item.recipient == pid
+           and item.parts()[0] == tag for item in items):
+        return None
+    own = reference_by_tag([e for e in faulty_out if e.recipient == pid], tag)
+    return tuple((id(sender), id(body)) for sender, body in own)
 
 
 @settings(max_examples=300, deadline=None)
@@ -211,7 +214,7 @@ def test_shared_reads_equal_per_recipient_reads(round_):
     honest_env = expand(n, sends, honest)
     expected_calls = {"count_bodies": 0, "senders_below": 0}
     for tag_no, tag in enumerate(QUERIES):
-        shared_count, shared_bounded = [], {}
+        shared_count, shared_bounded = {}, {}
         for pid in honest:
             old_inbox = ([e for e in honest_env if e.recipient == pid]
                          + [e for e in faulty_out if e.recipient == pid])
@@ -219,20 +222,81 @@ def test_shared_reads_equal_per_recipient_reads(round_):
             got_count, got_bounded = result.decisions[pid][tag_no]
             assert got_count == count_bodies(reference)
             assert got_bounded == senders_below(reference, bound_of(pid))
-            if shares_view(sends, honest, faulty_out, pid, tag):
-                shared_count.append(got_count)
-                shared_bounded.setdefault(bound_of(pid), []).append(got_bounded)
-            else:
+            view = view_key(sends, honest, faulty_out, pid, tag)
+            if view is None:
                 expected_calls["count_bodies"] += 1
                 expected_calls["senders_below"] += 1
-        # Every recipient with the shared view holds the one result.
-        assert all(got is shared_count[0] for got in shared_count)
-        for group in shared_bounded.values():
+            else:
+                shared_count.setdefault(view, []).append(got_count)
+                shared_bounded.setdefault((view, bound_of(pid)), []).append(
+                    got_bounded)
+        # One reduction per distinct view (and args), and every recipient
+        # with that view holds its one result.
+        for group in (*shared_count.values(), *shared_bounded.values()):
             assert all(got is group[0] for got in group)
-        expected_calls["count_bodies"] += 1 if shared_count else 0
+        expected_calls["count_bodies"] += len(shared_count)
         expected_calls["senders_below"] += len(shared_bounded)
     assert calls["count_bodies"] == expected_calls["count_bodies"]
     assert calls["senders_below"] == expected_calls["senders_below"]
+
+
+def test_views_are_told_apart_by_identity_not_equality():
+    """``1 == True``, yet a reducer may tell them apart: recipients whose
+    adversary bodies are equal but distinct objects read alone, and those
+    whose bodies are the same object share one read."""
+    runs = []
+
+    def body_types(pairs):
+        runs.append(len(pairs))
+        return tuple(type(body).__name__ for _, body in pairs)
+
+    def probe(ctx):
+        inbox = yield []
+        return reduce_by_tag(inbox, ("t",), body_types)
+
+    def script(view, world):
+        if view.round_no != 1:
+            return []
+        return [Envelope(3, 0, (("t",), 1)), Envelope(3, 1, (("t",), True)),
+                Envelope(3, 2, (("t",), 1))]
+
+    result = run_protocol(4, 1, [3], probe, ScriptedAdversary(script))
+    assert result.decisions[0] == ("int",)
+    assert result.decisions[1] == ("bool",)
+    assert result.decisions[0] is result.decisions[2]
+    assert runs == [1, 1]
+
+
+def test_ghosts_share_reads_with_their_world():
+    """Under ``split`` at n = 10, each world's ghosts and the honest half
+    that world talks to read the same view: the round's honest votes,
+    then that world's ghost votes, each ghost's one payload object.  So a
+    round's read runs once per world, not once per ghost or recipient."""
+    n, faulty, rounds_ = 10, [7, 8, 9], 3
+    calls = Counter()
+
+    def senders(pairs, round_no):
+        calls[round_no] += 1
+        return tuple(sender for sender, _ in pairs)
+
+    def vote(ctx, value):
+        heard = []
+        for round_no in range(rounds_):
+            tag = ("v", round_no)
+            # A fresh body per sender and round: sharing rests on identity.
+            inbox = yield ctx.broadcast(tag, [ctx.pid, value])
+            heard.append(reduce_by_tag(inbox, tag, senders, round_no))
+        return heard
+
+    result = run_protocol(
+        n, len(faulty), faulty, lambda ctx: vote(ctx, ctx.pid % 2),
+        SplitWorldAdversary(0, 1),
+        scenario={"protocol_builder": vote})
+    assert all(heard == [tuple(range(n))] * rounds_
+               for heard in result.decisions.values())
+    # Ghosts read round r in round r + 1, so they read every round but
+    # the last; the honest halves read every round.
+    assert calls == {round_no: 2 for round_no in range(rounds_)}
 
 
 def test_adversary_only_round_still_shares_the_read():

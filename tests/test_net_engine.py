@@ -23,7 +23,7 @@ from repro.net import engine
 from repro.net.adversary import AdversaryView, AdversaryWorld
 from repro.net.metrics import payload_bits
 
-from helpers import run_sub
+from helpers import round_view, run_sub
 
 
 def echo_once(ctx):
@@ -346,12 +346,14 @@ class TestSleep:
         world = AdversaryWorld(n=2, t=1, faulty_ids=frozenset({1}))
         runner = GhostRunner(world, [1], factory=ghost)
         to_ghost = [Envelope(0, 1, tagged(("x",), 0))]
-        steps = [runner.start()] + [runner.step(to_ghost) for _ in range(5)]
+        steps = [runner.start()] + [
+            runner.step(round_view(2, [1], {0: to_ghost})) for _ in range(5)]
         # Idle(3) yielded in step 1: steps 2 and 3 skip the ghost, step 4
         # resumes it with None, and step 5 delivers to it again.
         assert [[env.body() for env in out] for out in steps] == [
             [1], [], [], [], [2], []]
-        assert received == [to_ghost, None]
+        assert [None if inbox is None else list(inbox)
+                for inbox in received] == [to_ghost, None]
 
 
 class TestMessageHelpers:

@@ -443,6 +443,19 @@ class TestStatsCLI:
         assert main(["stats", str(sink)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_stats_refuses_a_sink_of_several_runs(self, tmp_path, capsys):
+        # --telemetry appends, and each run's clock restarts at its own
+        # meta row: two runs cannot be rendered as one campaign.
+        sink = tmp_path / "tele.jsonl"
+        args = ["campaign", "--n", "5", "--budgets", "0,1",
+                "--backend", "serial", "--telemetry", str(sink)]
+        assert main(args) == 0
+        assert main(args) == 0
+        assert "executed 2" in capsys.readouterr().out
+        assert main(["stats", str(sink)]) == 2
+        err = capsys.readouterr().err
+        assert "2 runs" in err and "--telemetry" in err
+
     def test_campaign_telemetry_flag_end_to_end(self, tmp_path, capsys):
         sink = tmp_path / "tele.jsonl"
         code = main([

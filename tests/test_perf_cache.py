@@ -153,12 +153,15 @@ class TestChainCache:
         # And the verdict under ks_a is unaffected by ks_b's lookup.
         assert inspect_chain(chain, T, ks_a) is not None
 
-    def test_split_adversary_chains_hit_the_memo(self):
-        # The split adversary's faulty chains reach recipients outside
-        # the shared honest read, so one chain object is inspected by
-        # several recipients and the memo answers the repeats.
+    def test_echo_adversary_chains_hit_the_memo(self):
+        # The echo adversary replays the last honest payload to
+        # everyone, in its round and in later ones, so one chain object
+        # reaches several reads (the honest read of its round and the
+        # views echo's copies make) and the memo answers the repeats.
+        # The split adversary no longer hits it: its faulty chains now
+        # reach each honest half through one shared read per round.
         row = execute_spec(
-            ScenarioSpec(n=7, t=2, f=2, mode="authenticated", adversary="split"),
+            ScenarioSpec(n=7, t=2, f=2, mode="authenticated", adversary="echo"),
             collect_perf=True,
         )
         assert row["perf"]["inspect_chain"]["hits"] > 0
